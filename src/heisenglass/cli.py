@@ -119,6 +119,40 @@ def scoped_seed(master_seed: int, scope: int) -> int:
     return int(np.random.SeedSequence(entropy=(master_seed, scope)).generate_state(1, np.uint64)[0])
 
 
+class InvariantError(RuntimeError):
+    """A per-sample invariant of the exact algebra failed (exit code 1)."""
+
+
+def _classified_sample(
+    model: couplings.Model,
+    sites: int,
+    magnons: int,
+    master_seed: int,
+    index: int,
+    degtol: float | None,
+    ladder_tol: float,
+) -> tuple[couplings.CouplingMatrix, basis.SectorBasis, spectrum.Spectrum, ladder.Classification]:
+    """Sample, diagonalize and classify one disorder realization.
+
+    Raises InvariantError unless exactly min(C(L, m-1), C(L, m)) states
+    are promoted and none is ambiguous: sigma^+ maps the m-1 sector
+    injectively into the m sector for 2m <= L, and onto it for 2m > L.
+    """
+    cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
+    lower = basis.build_basis(sites, magnons - 1)
+    upper = basis.build_basis(sites, magnons)
+    pmap = ladder.promotion_map(lower, upper)
+    spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
+    cls = ladder.classify(spec, pmap, ladder_tol)
+    expected = min(lower.dim, upper.dim)
+    if cls.n_promoted != expected or cls.n_ambiguous:
+        raise InvariantError(
+            f"sample {index} (L={sites}, m={magnons}): {cls.n_promoted} promoted states, "
+            f"expected {expected}; {cls.n_ambiguous} ambiguous"
+        )
+    return cm, upper, spec, cls
+
+
 def eigenstate_sample(
     model: couplings.Model,
     sites: int,
@@ -129,14 +163,9 @@ def eigenstate_sample(
     ladder_tol: float = ladder.LADDER_TOL,
 ) -> list[entanglement.StateReport]:
     """Full per-eigenstate report for one disorder realization."""
-    cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
-    lower = basis.build_basis(sites, magnons - 1)
-    upper = basis.build_basis(sites, magnons)
-    pmap = ladder.promotion_map(lower, upper)
-    spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
-    cls = ladder.classify(spec, pmap, ladder_tol)
+    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index, degtol, ladder_tol)
     cbar = entanglement.average_concurrence_columns(upper, cls.vectors)
-    pr = 1.0 / np.sum(cls.vectors**4, axis=0)
+    pr = entanglement.participation_ratio(cls.vectors)
     shift = spec.eigenvalues - cm.coupling_sum()
     deg = spec.degenerate_mask()
     return [
@@ -163,12 +192,7 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states."""
     model_d, sites, magnons, seed, index, degtol, ladder_tol = args
     model = couplings.model_from_dict(model_d)
-    cm = couplings.sample_couplings(model, sites, couplings.sample_seed(seed, index))
-    lower = basis.build_basis(sites, magnons - 1)
-    upper = basis.build_basis(sites, magnons)
-    pmap = ladder.promotion_map(lower, upper)
-    spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
-    cls = ladder.classify(spec, pmap, ladder_tol)
+    _, upper, _, cls = _classified_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
     mask = cls.labels == ladder.PROMOTED
     vecs = cls.vectors[:, mask]
     cbar = entanglement.average_concurrence_columns(upper, vecs)
@@ -177,8 +201,13 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
 
 
 def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
-    """Run jobs, preserving submission order independent of completion order."""
-    if workers <= 1 or len(jobs) <= 1:
+    """Run jobs, preserving submission order independent of completion order.
+
+    The pool never exceeds the job count or the CPU count: the executor
+    starts every worker it is given at the first submit.
+    """
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=1))
@@ -511,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (spectrum.SpectrumError, ladder.ZeroPromotionError, fitting.FitError) as err:
+    except (InvariantError, spectrum.SpectrumError, ladder.ZeroPromotionError, fitting.FitError) as err:
         print(f"failure: {err}", file=sys.stderr)
         return 1
 

@@ -203,3 +203,70 @@ def test_eigenstate_sample_matches_job_wrapper():
     assert [r.csv_row() for r in direct] == [r.csv_row() for r in wrapped]
     assert [r.index for r in direct] == list(range(28))
     assert sum(r.promoted == 1 for r in direct) == 8
+
+
+def test_promoted_count_mismatch_exits_one(tmp_path, capsys):
+    # a threshold above every ladder value labels all 28 states new
+    rc = cli.main(["spectrum-report", "-L", "8", "-m", "2", "--ladder-tol", "1e9",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "failure: sample 0" in err
+    assert "0 promoted states, expected 8" in err
+    assert not (tmp_path / "spectrum_report.csv").exists()
+
+
+def test_every_state_promoted_above_half_filling(tmp_path):
+    # 2m > L: sigma^+ maps the 20-dim m=3 sector onto the 15-dim m=4 sector
+    assert cli.main(["spectrum-report", "-L", "6", "-m", "4", "--out", str(tmp_path)]) == 0
+    _, lines = _read_output(tmp_path / "spectrum_report.csv")
+    assert [line.split(",")[6] for line in lines[1:]] == ["1"] * 15
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    ("requested", "n_jobs", "cpus", "pool_size"),
+    [
+        (10_000, 5, 3, 3),   # CPU count binds
+        (10_000, 2, 8, 2),   # job count binds
+        (3, 9, 8, 3),        # request binds
+        (4, 9, None, None),  # unknown CPU count: serial, no pool
+        (5, 1, 8, None),     # one job: serial, no pool
+    ],
+)
+def test_map_jobs_clamps_pool_size(monkeypatch, requested, n_jobs, cpus, pool_size):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    jobs = [(k,) for k in range(n_jobs)]
+    assert cli._map_jobs(lambda job: job[0] * 2, jobs, requested) == [2 * k for k in range(n_jobs)]
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_huge_worker_request_runs_on_a_clamped_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["spectrum-report", "-L", "6", "-m", "2", "--samples", "3", "--seed", "4"]
+    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "pooled"), "--workers", "100000"]) == 0
+    assert _InlinePool.sizes == [2]
+    name = "spectrum_report.csv"
+    assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()

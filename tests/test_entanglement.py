@@ -157,6 +157,59 @@ def test_batch_kernels_match_per_state_loop():
         assert pos[n] == pytest.approx((per_pair > 0).mean(), abs=0.0)
 
 
+@given(
+    st.integers(2, 10).flatmap(lambda L: st.tuples(st.just(L), st.integers(1, L - 1))),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_concurrences_match_partial_trace(sector_size, uniform, seed):
+    sites, magnons = sector_size
+    b = basis.build_basis(sites, magnons)
+    if uniform:
+        state = entanglement.DefiniteParticleState.uniform(b)
+    else:
+        state = _random_state(sites, magnons, seed)
+    kernel = entanglement.pair_concurrences(b, state.coefficients)
+    psi_full = oracles.embed_full_space(b, state.coefficients)
+    traced = []
+    for i, j in entanglement.site_pairs(sites):
+        rho = oracles.pair_rdm_by_partial_trace(psi_full, sites, i, j)
+        traced.append(max(2.0 * (abs(rho[1, 2]) - sqrt(rho[0, 0] * rho[3, 3])), 0.0))
+    traced = np.array(traced)
+    assert kernel.shape == traced.shape
+    assert np.abs(kernel - traced).max() <= 1e-13
+    assert np.array_equal(kernel > 0.0, traced > 0.0)
+
+
+def test_pair_concurrences_across_limbs():
+    # L=66 puts sites 64 and 65 in a second 64-bit word
+    b = basis.build_basis(66, 2)
+    assert b.words.shape[1] == 2
+    rng = np.random.Generator(np.random.Philox(41))
+    cols = rng.standard_normal((b.dim, 3))
+    cols /= np.linalg.norm(cols, axis=0)
+    kernel = entanglement.pair_concurrences(b, cols)
+    for row, (i, j) in enumerate(entanglement.site_pairs(66)):
+        v, _, _, y, z = entanglement.pair_rdm_elements(b, cols, i, j)
+        assert np.abs(kernel[row] - entanglement.concurrence_from_elements(v, y, z)).max() <= 1e-14
+
+
+def test_pair_concurrences_independent_of_column_blocking():
+    b = basis.build_basis(9, 3)
+    n = 2 * entanglement._COLUMN_CHUNK + 7
+    rng = np.random.Generator(np.random.Philox(43))
+    cols = rng.standard_normal((b.dim, n))
+    cols /= np.linalg.norm(cols, axis=0)
+    full = entanglement.pair_concurrences(b, cols)
+    assert full.shape == (36, n)
+    lo, hi = entanglement._COLUMN_CHUNK - 5, entanglement._COLUMN_CHUNK + 20
+    assert np.abs(entanglement.pair_concurrences(b, cols[:, lo:hi]) - full[:, lo:hi]).max() <= 1e-14
+    for k in (0, lo, n - 1):
+        single = entanglement.pair_concurrences(b, cols[:, k])
+        assert single.shape == (36,)
+        assert np.abs(single - full[:, k]).max() <= 1e-14
+
+
 def test_participation_ratio_limits():
     b = basis.build_basis(6, 2)
     coeff = np.zeros(b.dim)
