@@ -193,11 +193,8 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     model_d, sites, magnons, seed, index, degtol, ladder_tol = args
     model = couplings.model_from_dict(model_d)
     _, upper, _, cls = _classified_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
-    mask = cls.labels == ladder.PROMOTED
-    vecs = cls.vectors[:, mask]
-    cbar = entanglement.average_concurrence_columns(upper, vecs)
-    pos = entanglement.positive_fraction_columns(upper, vecs)
-    return float(cbar.mean()), float(pos.mean())
+    pc = entanglement.pair_concurrences(upper, cls.vectors[:, cls.labels == ladder.PROMOTED])
+    return float(pc.mean(axis=0).mean()), float((pc > 0.0).mean(axis=0).mean())
 
 
 def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
@@ -291,8 +288,7 @@ def _ensemble_estimates(cfg: ExperimentConfig, kind: str) -> list[ensembles.MCEs
             pair_policy=cfg.pairs,
             zero_sum=cfg.zero_sum,
         )
-        out.append(ensembles.estimate(spec, ensembles.MEAN_CONCURRENCE))
-        out.append(ensembles.estimate(spec, ensembles.PROB_POSITIVE))
+        out.extend(ensembles.estimates(spec, (ensembles.MEAN_CONCURRENCE, ensembles.PROB_POSITIVE)))
     return out
 
 
@@ -504,6 +500,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         else:
             if cfg.samples < 100:
                 raise ConfigError("random-ensemble scaling needs --samples >= 100")
+            if cfg.samples > ensembles.MAX_SAMPLES:
+                raise ConfigError(f"random-ensemble scaling allows at most --samples {ensembles.MAX_SAMPLES}")
             if cfg.zero_sum and cfg.target == "random":
                 raise ConfigError("--zero-sum applies to one-magnon seeds, not the random target")
             if any(sites < 3 for sites in cfg.sites):
@@ -540,7 +538,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (InvariantError, spectrum.SpectrumError, ladder.ZeroPromotionError, fitting.FitError) as err:
+    except (
+        InvariantError,
+        spectrum.SpectrumError,
+        ladder.ZeroPromotionError,
+        fitting.FitError,
+        ensembles.StreamError,
+    ) as err:
         print(f"failure: {err}", file=sys.stderr)
         return 1
 

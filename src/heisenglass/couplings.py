@@ -84,8 +84,80 @@ def ring_pairs(sites: int) -> list[tuple[int, int]]:
 
 
 def sample_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Seed for one disorder sample, a pure function of (master, index)."""
+    """Seed for one disorder sample, a pure function of (master, index).
+
+    ``Philox(sample_seed(master, index))`` takes its key from
+    ``generate_state(2, np.uint64)`` of this sequence; :func:`sample_keys`
+    computes the same keys for many indices at once.
+    """
     return np.random.SeedSequence(entropy=(master_seed, index))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step on uint32 words; returns the next constant too."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * mult) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def sample_keys(master_seed: int, indices) -> np.ndarray:
+    """Philox keys of ``sample_seed(master_seed, i)`` for every i in ``indices``.
+
+    Row k equals ``SeedSequence(entropy=(master_seed, indices[k]))
+    .generate_state(2, np.uint64)``, the key ``Philox(sample_seed(...))``
+    uses: numpy's entropy mixing and state generation run once, in uint32
+    arithmetic vectorized over the indices.  The master must lie in
+    [0, 2**64) and each index in [0, 2**32), so the entropy is at most
+    three 32-bit words and fits the hash pool without overflow; returns
+    an (n, 2) uint64 array.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError("indices must be a one-dimensional integer sequence")
+    if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
+        raise ValueError("sample indices must lie in [0, 2**32)")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master seed must fit in an unsigned 64-bit integer")
+    n = idx.size
+    # SeedSequence splits an int into little-endian 32-bit words, [0] for zero
+    master_words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    words = [np.full(n, w, dtype=np.uint32) for w in master_words] + [idx.astype(np.uint32)]
+
+    hash_const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word = words[i] if i < len(words) else np.zeros(n, dtype=np.uint32)
+        value, hash_const = _hash(word, hash_const, _MULT_A)
+        pool.append(value)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                value, hash_const = _hash(pool[i_src], hash_const, _MULT_A)
+                pool[i_dst] = _mix(pool[i_dst], value)
+
+    state = np.empty((n, 4), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(4):
+        state[:, k], hash_const = _hash(pool[k], hash_const, _MULT_B)
+    # two uint32 words per key, low word first, as generate_state(2, np.uint64)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _generator(seed: int | np.random.SeedSequence) -> np.random.Generator:

@@ -4,7 +4,11 @@ Three ensembles: random one-magnon states, random two-magnon states
 (i.i.d. Gaussian coefficients, normalized), and promoted two-magnon
 states obtained by raising a random one-magnon state.  Estimators are
 deterministic per (seed, index) through per-sample Philox streams, so
-results never depend on chunking or worker layout.
+results never depend on chunking or worker layout.  The Philox keys of a
+chunk of samples come from one vectorized pass that reproduces
+``SeedSequence((seed, index))`` exactly, and one generator per chunk is
+reset to each key in turn.  Every sample is drawn once, however many
+quantities are estimated from it.
 
 Pair statistics default to the single pair (0, 1); every ensemble here
 is permutation invariant, so that pair is representative and the cost
@@ -22,13 +26,8 @@ import numpy as np
 from scipy import integrate
 
 from .basis import build_basis
-from .couplings import sample_seed
-from .entanglement import (
-    DefiniteParticleState,
-    average_concurrence_columns,
-    concurrence_from_elements,
-    positive_fraction_columns,
-)
+from .couplings import sample_keys, sample_seed
+from .entanglement import DefiniteParticleState, concurrence_from_elements, pair_concurrences
 from .ladder import promotion_map
 
 RANDOM_1P = "random-1p"
@@ -51,6 +50,9 @@ PROMOTED_CONCURRENCE_COEFF = 0.465
 
 _CHUNK = 1024
 
+# Sample indices are one 32-bit SeedSequence entropy word each.
+MAX_SAMPLES = 2**32
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -70,6 +72,8 @@ class EnsembleSpec:
             raise ValueError("ensembles need at least three sites")
         if self.n_samples < 100:
             raise ValueError("need at least 100 samples for a meaningful estimate")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"sample indices must fit in 32 bits: at most {MAX_SAMPLES} samples")
         if self.zero_sum and self.kind == RANDOM_2P:
             raise ValueError("the zero-sum constraint applies to one-magnon seeds only")
 
@@ -93,26 +97,48 @@ class MCEstimate:
         )
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(sample_seed(seed, index)))
+class StreamError(RuntimeError):
+    """Batched sample keys disagree with numpy's SeedSequence (exit code 1)."""
 
 
-def _draw_seed_vector(spec: EnsembleSpec, index: int) -> np.ndarray:
-    """Normalized raw coefficients for one sample.
+def _draw_seed_vectors(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
+    """Normalized raw coefficients of samples lo..hi-1, one column each.
 
-    One-magnon kinds draw L normals, the plain two-magnon ensemble
-    draws C(L, 2).  Centering (zero_sum) happens before normalization.
+    One-magnon kinds draw L normals per sample, the plain two-magnon
+    ensemble draws C(L, 2).  Sample i is the start of the Philox stream
+    keyed by ``sample_seed(seed, i)``: one generator is reset to that key
+    with a zero counter and an empty buffer, the state a fresh
+    ``Philox(sample_seed(seed, i))`` starts in.  Centering (zero_sum)
+    happens before normalization.  Returns a C-ordered (n, hi - lo) array.
     """
     n = math.comb(spec.sites, 2) if spec.kind == RANDOM_2P else spec.sites
-    a = _rng(spec.seed, index).standard_normal(n)
-    if spec.zero_sum:
-        a -= a.mean()
-    return a / np.linalg.norm(a)
+    keys = sample_keys(spec.seed, np.arange(lo, hi))
+    if not np.array_equal(keys[0], sample_seed(spec.seed, lo).generate_state(2, np.uint64)):
+        raise StreamError(f"batched Philox key of sample {lo} differs from its SeedSequence key")
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    A = np.empty((n, hi - lo), dtype=np.float64)
+    for col, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        a = rng.standard_normal(n)
+        if spec.zero_sum:
+            a -= a.mean()
+        A[:, col] = a / math.sqrt(a.dot(a))  # the value np.linalg.norm(a) computes, without its overhead
+    return A
 
 
 def sample_state(spec: EnsembleSpec, index: int) -> DefiniteParticleState:
     """Materialize sample ``index`` as a state over its sector basis."""
-    a = _draw_seed_vector(spec, index)
+    a = _draw_seed_vectors(spec, index, index + 1)[:, 0]
     if spec.kind == RANDOM_2P:
         return DefiniteParticleState(build_basis(spec.sites, 2), a)
     one = DefiniteParticleState(build_basis(spec.sites, 1), a)
@@ -173,11 +199,16 @@ def _promoted_ipr(A: np.ndarray, sites: int) -> np.ndarray:
     return ((sites - 8.0) * p4 + 4.0 * p3 * s + 3.0) / (B * B)
 
 
-def sample_values(spec: EnsembleSpec, quantity: str) -> np.ndarray:
-    """Per-sample values of ``quantity``, in sample order."""
-    if quantity not in QUANTITIES:
-        raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    out = np.empty(spec.n_samples, dtype=np.float64)
+def sample_values(spec: EnsembleSpec, quantities: tuple[str, ...]) -> np.ndarray:
+    """Per-sample values, one row per quantity, in sample order.
+
+    Every sample is drawn once, however many quantities are asked for;
+    returns a (len(quantities), n_samples) array.
+    """
+    for quantity in quantities:
+        if quantity not in QUANTITIES:
+            raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
+    out = np.empty((len(quantities), spec.n_samples), dtype=np.float64)
     pmap = None
     basis = None
     if spec.pair_policy == "all":
@@ -187,43 +218,51 @@ def sample_values(spec: EnsembleSpec, quantity: str) -> np.ndarray:
 
     for lo in range(0, spec.n_samples, _CHUNK):
         hi = min(lo + _CHUNK, spec.n_samples)
-        A = np.stack([_draw_seed_vector(spec, idx) for idx in range(lo, hi)], axis=1)
-
-        if quantity == MEAN_IPR:
+        A = _draw_seed_vectors(spec, lo, hi)
+        values = {}
+        if MEAN_IPR in quantities:
             if spec.kind == RANDOM_PROMOTED_2P:
-                out[lo:hi] = _promoted_ipr(A, spec.sites)
+                values[MEAN_IPR] = _promoted_ipr(A, spec.sites)
             else:
-                out[lo:hi] = (A**4).sum(axis=0)
-            continue
-
-        if spec.pair_policy == "single":
-            v, y, z = _pair01_elements(spec, A)
-            conc = concurrence_from_elements(v, y, z)
-            out[lo:hi] = conc if quantity == MEAN_CONCURRENCE else (conc > 0.0).astype(np.float64)
-        else:
-            states = A
-            if spec.kind == RANDOM_PROMOTED_2P:
-                states = pmap.apply(A)
-                states /= np.linalg.norm(states, axis=0)
-            if quantity == MEAN_CONCURRENCE:
-                out[lo:hi] = average_concurrence_columns(basis, states)
+                values[MEAN_IPR] = (A**4).sum(axis=0)
+        if MEAN_CONCURRENCE in quantities or PROB_POSITIVE in quantities:
+            if spec.pair_policy == "single":
+                v, y, z = _pair01_elements(spec, A)
+                conc = concurrence_from_elements(v, y, z)
+                values[MEAN_CONCURRENCE] = conc
+                values[PROB_POSITIVE] = (conc > 0.0).astype(np.float64)
             else:
-                out[lo:hi] = positive_fraction_columns(basis, states)
+                states = A
+                if spec.kind == RANDOM_PROMOTED_2P:
+                    states = pmap.apply(A)
+                    states /= np.linalg.norm(states, axis=0)
+                pc = pair_concurrences(basis, states)
+                values[MEAN_CONCURRENCE] = pc.mean(axis=0)
+                values[PROB_POSITIVE] = (pc > 0.0).mean(axis=0)
+        for row, quantity in zip(out, quantities):
+            row[lo:hi] = values[quantity]
     return out
 
 
+def estimates(spec: EnsembleSpec, quantities: tuple[str, ...]) -> list[MCEstimate]:
+    """Monte Carlo means with standard errors (sample stdev / sqrt N), one pass."""
+    return [
+        MCEstimate(
+            quantity=quantity,
+            kind=spec.kind,
+            pair_policy=spec.pair_policy,
+            sites=spec.sites,
+            n_samples=spec.n_samples,
+            mean=float(values.mean()),
+            stderr=float(values.std(ddof=1) / math.sqrt(spec.n_samples)),
+        )
+        for quantity, values in zip(quantities, sample_values(spec, quantities))
+    ]
+
+
 def estimate(spec: EnsembleSpec, quantity: str) -> MCEstimate:
-    """Monte Carlo mean with its standard error (sample stdev / sqrt N)."""
-    values = sample_values(spec, quantity)
-    return MCEstimate(
-        quantity=quantity,
-        kind=spec.kind,
-        pair_policy=spec.pair_policy,
-        sites=spec.sites,
-        n_samples=spec.n_samples,
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(spec.n_samples)),
-    )
+    """Monte Carlo mean of one quantity with its standard error."""
+    return estimates(spec, (quantity,))[0]
 
 
 @dataclass(frozen=True)

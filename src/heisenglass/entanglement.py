@@ -206,11 +206,6 @@ def average_concurrence_columns(basis: SectorBasis, coefficients: np.ndarray) ->
     return pair_concurrences(basis, coefficients).mean(axis=0)
 
 
-def positive_fraction_columns(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarray:
-    """Per-column fraction of site pairs with strictly positive concurrence."""
-    return (pair_concurrences(basis, coefficients) > 0.0).mean(axis=0)
-
-
 def inverse_participation_ratio(coefficients: np.ndarray) -> np.ndarray | float:
     """Sum of fourth powers; 1 for a basis state, 1/dim for the uniform state.
 

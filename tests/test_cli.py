@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisenglass import cli, couplings, ladder, verify
+from heisenglass import cli, couplings, ensembles, ladder, verify
 from heisenglass.cli import ConfigError, ExperimentConfig
 
 
@@ -123,6 +123,37 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
 def test_bad_configuration_exits_two(argv, capsys):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sample_count_beyond_32_bit_indices_exits_two(tmp_path, monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("validation must reject the run before any draw")
+
+    monkeypatch.setattr(ensembles, "sample_values", no_draws)
+    argv = ["scaling", "--target", "random-promoted", "-L", "8,12,16,24", "--pairs", "single",
+            "--samples", str(2**32 + 1), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 2**32 samples use indices 0 .. 2**32 - 1, all representable: validation only
+    cli.validate_config(ExperimentConfig(command="scaling", target="random", sites=(8, 12, 16, 24),
+                                         samples=2**32))
+
+
+def test_stream_key_mismatch_exits_one(tmp_path, monkeypatch, capsys):
+    good = couplings.sample_keys
+
+    def corrupted(master, indices):
+        keys = good(master, indices)
+        keys[0, 0] += np.uint64(1)
+        return keys
+
+    monkeypatch.setattr(ensembles, "sample_keys", corrupted)
+    argv = ["scaling", "--target", "random", "-L", "8,12,16,24", "--pairs", "single",
+            "--samples", "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "failure: batched Philox key of sample 0" in capsys.readouterr().err
+    assert not (tmp_path / "scaling_random.csv").exists()
 
 
 def test_workers_env_must_be_integer(monkeypatch, capsys):

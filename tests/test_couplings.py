@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heisenglass import couplings
 
@@ -132,6 +134,32 @@ def test_plan_matches_manual_seed_derivation():
         assert np.array_equal(plan.realization(k).J, direct.J)
     with pytest.raises(ValueError):
         plan.seed_for(5)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+@example(0, [0, 1, 2**32 - 1])
+@example(2**32 - 1, [0, 2**32 - 1])
+@example(2**32, [0, 2**32 - 1])
+@example(2**64 - 1, [0, 2**32 - 1])
+def test_sample_keys_equal_seed_sequence(master, indices):
+    keys = couplings.sample_keys(master, np.array(indices, dtype=np.uint64))
+    assert keys.dtype == np.uint64
+    assert keys.shape == (len(indices), 2)
+    for key, index in zip(keys, indices):
+        expected = couplings.sample_seed(master, index).generate_state(2, np.uint64)
+        assert np.array_equal(key, expected)
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, 2**32], [2**40]])
+def test_sample_keys_reject_indices_outside_32_bits(indices):
+    with pytest.raises(ValueError):
+        couplings.sample_keys(0, indices)
+
+
+@pytest.mark.parametrize("master", [-1, 2**64])
+def test_sample_keys_reject_masters_outside_64_bits(master):
+    with pytest.raises(ValueError):
+        couplings.sample_keys(master, [0])
 
 
 def test_csv_roundtrip_exact():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenglass import ensembles, entanglement
+from heisenglass import couplings, ensembles, entanglement
 from heisenglass.ensembles import (
     KINDS,
     MEAN_CONCURRENCE,
@@ -25,7 +25,7 @@ def _spec(kind, sites=12, n=120, seed=4, **kw):
 @pytest.mark.parametrize("kind", KINDS)
 def test_single_pair_fast_path_matches_materialized(kind):
     spec = _spec(kind)
-    fast = ensembles.sample_values(spec, MEAN_CONCURRENCE)
+    fast = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
     for idx in (0, 1, 17, 119):
         state = ensembles.sample_state(spec, idx)
         rdm = entanglement.pair_rdm(state, 0, 1)
@@ -35,7 +35,7 @@ def test_single_pair_fast_path_matches_materialized(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_ipr_fast_path_matches_materialized(kind):
     spec = _spec(kind)
-    fast = ensembles.sample_values(spec, MEAN_IPR)
+    fast = ensembles.sample_values(spec, (MEAN_IPR,))[0]
     for idx in (0, 5, 119):
         state = ensembles.sample_state(spec, idx)
         direct = entanglement.inverse_participation_ratio(state.coefficients)
@@ -44,8 +44,8 @@ def test_ipr_fast_path_matches_materialized(kind):
 
 def test_positive_fraction_is_indicator_of_concurrence():
     spec = _spec(RANDOM_PROMOTED_2P, n=200)
-    conc = ensembles.sample_values(spec, MEAN_CONCURRENCE)
-    pos = ensembles.sample_values(spec, PROB_POSITIVE)
+    conc = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
+    pos = ensembles.sample_values(spec, (PROB_POSITIVE,))[0]
     assert np.array_equal(pos, (conc > 0.0).astype(float))
 
 
@@ -67,9 +67,7 @@ def test_random2p_coherence_second_moment():
     spec = _spec(RANDOM_2P, sites=sites, n=n_samples, seed=9)
     sq = np.empty(n_samples)
     for lo in range(0, n_samples, 500):
-        A = np.stack(
-            [ensembles._draw_seed_vector(spec, i) for i in range(lo, lo + 500)], axis=1
-        )
+        A = ensembles._draw_seed_vectors(spec, lo, lo + 500)
         _, _, z = ensembles._pair01_elements(spec, A)
         sq[lo : lo + 500] = z * z
     n = math.comb(sites, 2)
@@ -132,15 +130,51 @@ def test_estimates_are_reproducible():
 
 def test_values_independent_of_chunking(monkeypatch):
     spec = _spec(RANDOM_PROMOTED_2P, sites=9, n=130, seed=8)
-    whole = ensembles.sample_values(spec, MEAN_CONCURRENCE)
+    whole = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
     monkeypatch.setattr(ensembles, "_CHUNK", 7)
-    chopped = ensembles.sample_values(spec, MEAN_CONCURRENCE)
+    chopped = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
     assert np.array_equal(whole, chopped)
+
+
+def _reference_draw(spec, index):
+    """One sample from a fresh Philox stream seeded by SeedSequence((seed, index))."""
+    n = math.comb(spec.sites, 2) if spec.kind == RANDOM_2P else spec.sites
+    rng = np.random.Generator(np.random.Philox(couplings.sample_seed(spec.seed, index)))
+    a = rng.standard_normal(n)
+    if spec.zero_sum:
+        a -= a.mean()
+    return a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize(
+    "kind,zero_sum",
+    [(RANDOM_1P, False), (RANDOM_2P, False), (RANDOM_PROMOTED_2P, False),
+     (RANDOM_1P, True), (RANDOM_PROMOTED_2P, True)],
+)
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_batched_draws_match_fresh_generators(kind, zero_sum, seed):
+    spec = _spec(kind, sites=9, n=1100, seed=seed, zero_sum=zero_sum)
+    for lo, hi in ((0, 1024), (1024, 1100), (1020, 1030)):
+        A = ensembles._draw_seed_vectors(spec, lo, hi)
+        assert A.flags.c_contiguous
+        expected = np.stack([_reference_draw(spec, i) for i in range(lo, hi)], axis=1)
+        assert A.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pair_policy", ["single", "all"])
+def test_one_pass_estimates_equal_separate_estimates(pair_policy):
+    spec = _spec(RANDOM_PROMOTED_2P, sites=8, n=1100, seed=21, pair_policy=pair_policy)
+    both = ensembles.estimates(spec, (MEAN_CONCURRENCE, PROB_POSITIVE))
+    assert both == [ensembles.estimate(spec, MEAN_CONCURRENCE), ensembles.estimate(spec, PROB_POSITIVE)]
+    values = ensembles.sample_values(spec, (MEAN_CONCURRENCE, PROB_POSITIVE, MEAN_IPR))
+    assert values.shape == (3, 1100)
+    for row, quantity in zip(values, (MEAN_CONCURRENCE, PROB_POSITIVE, MEAN_IPR)):
+        assert row.tobytes() == ensembles.sample_values(spec, (quantity,))[0].tobytes()
 
 
 def test_zero_sum_seed_is_centered():
     spec = _spec(RANDOM_PROMOTED_2P, sites=15, zero_sum=True)
-    a = ensembles._draw_seed_vector(spec, 3)
+    a = ensembles._draw_seed_vectors(spec, 3, 4)[:, 0]
     assert abs(a.sum()) <= 1e-14
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
     state = ensembles.sample_state(spec, 3)
@@ -161,6 +195,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(RANDOM_1P, pair_policy="some")
     _spec(RANDOM_PROMOTED_2P, zero_sum=True)  # allowed: constraint is on the seed
+    with pytest.raises(ValueError):
+        _spec(RANDOM_1P, n=2**32 + 1)  # sample indices are 32-bit
+    _spec(RANDOM_1P, n=2**32)
 
 
 def test_closed_forms_table():

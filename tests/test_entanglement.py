@@ -149,7 +149,7 @@ def test_batch_kernels_match_per_state_loop():
     cols = rng.standard_normal((b.dim, 5))
     cols /= np.linalg.norm(cols, axis=0)
     avg = entanglement.average_concurrence_columns(b, cols)
-    pos = entanglement.positive_fraction_columns(b, cols)
+    pos = (entanglement.pair_concurrences(b, cols) > 0.0).mean(axis=0)
     for n in range(5):
         state = entanglement.DefiniteParticleState(b, cols[:, n])
         per_pair = entanglement.pair_concurrences(b, cols[:, n])
