@@ -197,13 +197,18 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     return float(pc.mean(axis=0).mean()), float((pc > 0.0).mean(axis=0).mean())
 
 
+def _pool_size(workers: int, n_jobs: int) -> int:
+    """Processes that run ``n_jobs`` jobs: at most the jobs and the CPUs."""
+    return min(workers, n_jobs, os.cpu_count() or 1)
+
+
 def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     """Run jobs, preserving submission order independent of completion order.
 
     The pool never exceeds the job count or the CPU count: the executor
     starts every worker it is given at the first submit.
     """
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = _pool_size(workers, len(jobs))
     if workers <= 1:
         return [fn(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -485,7 +490,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command in ("spectrum-report", "phase-diagram"):
         if len(cfg.sites) != 1:
             raise ConfigError(f"{cfg.command} takes exactly one -L value")
-        _check_sector(cfg.sites[0], cfg.magnons)
+        _check_sector(cfg.sites[0], cfg.magnons, _pool_size(cfg.workers, cfg.samples))
     if cfg.command == "phase-diagram":
         assert cfg.sigmas is not None  # argparse enforces --sigmas
         if any(s < 0 for s in cfg.sigmas):
@@ -496,7 +501,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command == "scaling":
         if cfg.target == "eigenstates":
             for sites in cfg.sites:
-                _check_sector(sites, cfg.magnons)
+                _check_sector(sites, cfg.magnons, _pool_size(cfg.workers, cfg.samples))
         else:
             if cfg.samples < 100:
                 raise ConfigError("random-ensemble scaling needs --samples >= 100")
@@ -512,12 +517,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("scaling fits need at least four L values >= 8")
 
 
-def _check_sector(sites: int, magnons: int) -> None:
+def _check_sector(sites: int, magnons: int, workers: int) -> None:
+    """Reject an empty sector, or one whose dense solves do not fit in memory.
+
+    ``workers`` is the pool size that will run; each worker holds its own
+    solve, of at most ``spectrum.DENSE_COPIES`` dim x dim float64 arrays.
+    """
     if not 1 <= magnons < sites:
         raise ConfigError(f"need 1 <= m < L, got m={magnons} L={sites}")
     dim = math.comb(sites, magnons)
-    if dim > basis.DEFAULT_MAX_DIM:
-        raise ConfigError(f"sector dimension C({sites},{magnons}) = {dim} exceeds the dense budget")
+    need = dim * dim * 8 * spectrum.DENSE_COPIES * workers
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"sector dimension C({sites},{magnons}) = {dim} needs {need / 2**30:.3g} GiB of dense "
+            f"matrices with {workers} worker(s), more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 _COMMANDS = {

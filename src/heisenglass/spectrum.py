@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolves with deterministic conventions."""
+"""Sector eigensolves by total spin, with deterministic conventions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import basis
 from .sector import SectorMatrix
+
+
+# Peak number of dim x dim float64 arrays alive in diagonalize, reached
+# when one spin block spans nearly the whole sector (m = 1, 2): H, the
+# blocks Q, H Q, A = Q^T H Q, and inside np.linalg.eigh its copy of A,
+# a workspace of two more and the eigenvectors X.
+DENSE_COPIES = 8
 
 
 class SpectrumError(RuntimeError):
@@ -72,29 +80,54 @@ def default_degtol(matrix: np.ndarray) -> float:
 
 
 def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-10) -> Spectrum:
-    """Eigensolve a sector matrix (LAPACK) and verify the result.
+    """Eigensolve a Heisenberg sector block one total spin at a time.
 
-    Checks the residual of every eigenpair against rtol * ||H||_F,
-    orthonormality of the eigenvector matrix, and the trace identity,
-    raising SpectrumError instead of returning a silently bad
-    decomposition.
+    ``sm.matrix`` must commute with the total spin, as every sector
+    block of sum_{i<j} J_ij sigma_i . sigma_j does.  For each spin-S
+    block Q_S of :func:`basis.total_spin_blocks` it solves the small
+    problem A = Q_S^T (H Q_S) with LAPACK and returns V_S = Q_S X_S; the
+    blocks merge ascending by a stable sort.  The residual of every
+    returned column is formed from (H Q_S) X_S, which by associativity
+    is H V_S, so no further dim^3 product is needed.
+
+    Raises SpectrumError for a non-finite matrix, an eigenpair residual
+    above rtol * ||H||_F (which is what a matrix without SU(2) symmetry
+    produces), eigenvectors that are not orthonormal, or an eigenvalue
+    sum that disagrees with the trace, instead of returning a silently
+    bad decomposition.
     """
     H = sm.matrix
-    try:
-        evals, evecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as err:
-        raise SpectrumError(f"eigensolver did not converge: {err}") from err
+    if not np.isfinite(H).all():
+        raise SpectrumError("sector matrix has non-finite entries")
+    blocks = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
+    solved = [_solve_block(H, blocks.pop(two_s), two_s) for two_s in list(blocks)]
+
+    evals_by_block = np.concatenate([w for w, _, _ in solved])
+    order = np.argsort(evals_by_block, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    evals = evals_by_block[order]
+    residual = np.concatenate([r for _, _, r in solved])
 
     scale = max(1.0, float(np.linalg.norm(H)))
-    residual = np.linalg.norm(H @ evecs - evecs * evals, axis=0)
     worst = float(residual.max(initial=0.0))
-    if worst > rtol * scale:
+    if not worst <= rtol * scale:
         raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {rtol:.1e} * ||H||_F")
-    ortho = float(np.abs(evecs.T @ evecs - np.eye(evecs.shape[0])).max(initial=0.0))
-    if ortho > 1e-10:
+
+    # each block is dropped once placed, so blocks and merged copy never coexist in full
+    vectors = np.empty_like(H)
+    start = 0
+    while solved:
+        V = solved.pop(0)[1]
+        vectors[:, position[start : start + V.shape[1]]] = fix_signs(V)
+        start += V.shape[1]
+    gram = vectors.T @ vectors
+    gram[np.diag_indices_from(gram)] -= 1.0
+    ortho = float(np.abs(gram, out=gram).max(initial=0.0))
+    if not ortho <= 1e-10:
         raise SpectrumError(f"eigenvectors not orthonormal, deviation {ortho:.3e}")
     tr = float(np.trace(H))
-    if abs(evals.sum() - tr) > 1e-9 * max(1.0, abs(tr)):
+    if not abs(evals.sum() - tr) <= 1e-9 * max(1.0, abs(tr)):
         raise SpectrumError("eigenvalue sum disagrees with trace")
 
     if degtol is None:
@@ -102,10 +135,25 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     return Spectrum(
         matrix=sm,
         eigenvalues=evals,
-        vectors=fix_signs(evecs),
+        vectors=vectors,
         degtol=degtol,
         groups=group_degeneracies(evals, degtol),
     )
+
+
+def _solve_block(H: np.ndarray, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors V = Q X and residual norms |H V - V w| of one spin block."""
+    HQ = H @ Q
+    try:
+        w, X = np.linalg.eigh(Q.T @ HQ)
+    except np.linalg.LinAlgError as err:
+        raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
+    V = Q @ X
+    del Q  # each del keeps the peak within DENSE_COPIES
+    HV = HQ @ X  # = H V by associativity
+    del HQ
+    HV -= V * w
+    return w, V, np.linalg.norm(HV, axis=0)
 
 
 def contains_spectrum(outer: np.ndarray, inner: np.ndarray, tol: float) -> bool:

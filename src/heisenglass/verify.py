@@ -207,6 +207,31 @@ def _check_jacobi() -> CheckResult:
     return ("eigensolver-jacobi", dev <= 1e-10, f"max eigenvalue deviation {dev:.2e}")
 
 
+def _check_total_spin_blocks() -> CheckResult:
+    L, m = 12, 5
+    blocks = basis.total_spin_blocks(L, m)
+    Q = np.hstack(list(blocks.values()))
+    ortho = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
+    # sigma^+ sigma^- = S^2 - S_z^2 + S_z: the integer S(S+1) - M^2 + M on spin S
+    pm = ladder.promotion_map(basis.build_basis(L, m - 1), basis.build_basis(L, m))
+    m2 = 2 * m - L
+    ladder_dev = 0.0
+    for two_s, q in blocks.items():
+        value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) // 4
+        ladder_dev = max(ladder_dev, float(np.abs(pm.apply(pm.apply_adjoint(q)) - value * q).max(initial=0.0)))
+    cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 23)
+    H = sector.assemble(cm, pm.target).matrix
+    projected = Q.T @ H @ Q
+    start = 0
+    for q in blocks.values():
+        projected[start : start + q.shape[1], start : start + q.shape[1]] = 0.0
+        start += q.shape[1]
+    leak = float(np.abs(projected).max(initial=0.0)) / max(1.0, float(np.linalg.norm(H)))
+    ok = ortho <= 1e-13 and ladder_dev <= 1e-12 and leak <= 1e-12
+    detail = f"{len(blocks)} blocks, orthonormality {ortho:.1e}, ladder {ladder_dev:.1e}, coupling {leak:.1e}"
+    return ("total-spin-blocks", ok, detail)
+
+
 def _check_fit_recovery() -> CheckResult:
     L = np.array([8.0, 12, 16, 20, 28, 40, 64])
     truth = np.array([0.9, 1.1])
@@ -240,6 +265,7 @@ def run_checks(tamper: str | None = None) -> list[CheckResult]:
         _check_classification(),
         _check_degeneracy_grouping(),
         _check_jacobi(),
+        _check_total_spin_blocks(),
         _check_fit_recovery(),
         _check_estimate_determinism(),
     ]

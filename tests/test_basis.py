@@ -2,11 +2,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from heisenglass import basis
+from heisenglass import basis, couplings, ladder, sector
 
 
 def test_dim_and_order_small():
@@ -79,6 +79,10 @@ def test_build_rejects_bad_args():
         basis.build_basis(4, 5)
     with pytest.raises(ValueError):
         basis.build_basis(40, 10, max_dim=1000)
+    with pytest.raises(ValueError):
+        basis.total_spin_blocks(0, 0)
+    with pytest.raises(ValueError):
+        basis.total_spin_blocks(4, 5)
 
 
 def test_bit_column_wide_patterns():
@@ -131,3 +135,47 @@ def test_pair_partners_rejects_equal_sites():
     b = basis.build_basis(4, 2)
     with pytest.raises(ValueError):
         basis.pair_partners(b, 0, 2, 2)
+
+
+# sectors with L <= 12, including 2m = L and 2m > L
+spin_sectors = st.integers(1, 12).flatmap(lambda L: st.tuples(st.just(L), st.integers(0, L)))
+
+
+@given(spin_sectors)
+@example((12, 6))
+@example((7, 5))
+def test_total_spin_blocks_orthonormal_with_multiplet_counts(sector_lm):
+    sites, magnons = sector_lm
+    blocks = basis.total_spin_blocks(sites, magnons)
+    assert list(blocks) == list(range(abs(2 * magnons - sites), sites + 1, 2))
+    for two_s, q in blocks.items():
+        n = (sites - two_s) // 2
+        assert q.shape == (comb(sites, magnons), comb(sites, n) - (comb(sites, n - 1) if n else 0))
+    Q = np.hstack(list(blocks.values()))
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[0])).max() <= 1e-13
+
+
+@given(spin_sectors.filter(lambda lm: lm[1] >= 1))
+@example((12, 6))
+@example((7, 5))
+def test_total_spin_blocks_are_ladder_eigenspaces(sector_lm):
+    # sigma^+ sigma^- = S^2 - S_z^2 + S_z acts on spin S as S(S+1) - M^2 + M
+    sites, magnons = sector_lm
+    pm = ladder.promotion_map(basis.build_basis(sites, magnons - 1), basis.build_basis(sites, magnons))
+    m2 = 2 * magnons - sites
+    for two_s, q in basis.total_spin_blocks(sites, magnons).items():
+        value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) / 4
+        assert np.abs(pm.apply(pm.apply_adjoint(q)) - value * q).max() <= 1e-12
+
+
+@given(spin_sectors.filter(lambda lm: lm[0] >= 2), st.integers(0, 2**32 - 1))
+@example((12, 6), 0)
+@example((7, 5), 1)
+def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
+    sites, magnons = sector_lm
+    cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, seed)
+    H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix
+    blocks = list(basis.total_spin_blocks(sites, magnons).values())
+    for a, qa in enumerate(blocks):
+        for qb in blocks[a + 1 :]:
+            assert np.abs(qa.T @ H @ qb).max() <= 1e-12 * max(1.0, np.linalg.norm(H))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heisenglass import cli, couplings, ensembles, ladder, verify
+from heisenglass import cli, couplings, ensembles, ladder, spectrum, verify
 from heisenglass.cli import ConfigError, ExperimentConfig
 
 
@@ -105,7 +105,7 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
         ["spectrum-report", "-L", "10,12"],                        # one size only
         ["spectrum-report", "-L", "10", "-m", "0"],                # empty sector
         ["spectrum-report", "-L", "10", "-m", "10"],               # m must stay below L
-        ["spectrum-report", "-L", "60", "-m", "5"],                # dense budget
+        ["spectrum-report", "-L", "60", "-m", "5"],                # memory budget
         ["spectrum-report", "-L", "10", "--samples", "0"],
         ["spectrum-report", "-L", "10", "--seed", "-1"],
         ["spectrum-report", "-L", "10", "--sigma", "-0.5"],
@@ -140,6 +140,33 @@ def test_sample_count_beyond_32_bit_indices_exits_two(tmp_path, monkeypatch, cap
                                          samples=2**32))
 
 
+def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("validation must reject the run before any allocation")
+
+    monkeypatch.setattr(couplings, "sample_couplings", no_sampling)
+    # L=13, m=6: 1716^2 * 8 bytes * DENSE_COPIES per worker; room for one worker, not two
+    per_worker = 1716**2 * 8 * spectrum.DENSE_COPIES
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (3 * per_worker // 2) // 4096}
+    monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    report = ["spectrum-report", "-L", "13", "-m", "6", "--out", str(tmp_path / "out")]
+    cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=3))
+    cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=1, workers=3))
+    for argv in (
+        report + ["--samples", "2", "--workers", "2"],
+        report + ["--samples", "5", "--workers", "3"],
+        ["scaling", "--target", "eigenstates", "-L", "8,10,12,13", "-m", "6", "--workers", "2",
+         "--out", str(tmp_path / "out")],
+    ):
+        assert cli.main(argv) == 2
+        assert "physical memory" in capsys.readouterr().err
+    # one CPU clamps the pool to one worker, which fits
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=2, workers=2))
+    assert not (tmp_path / "out").exists()
+
+
 def test_stream_key_mismatch_exits_one(tmp_path, monkeypatch, capsys):
     good = couplings.sample_keys
 
@@ -165,7 +192,7 @@ def test_workers_env_must_be_integer(monkeypatch, capsys):
 def test_verify_command_passes(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "13/13 checks passed" in out
+    assert "14/14 checks passed" in out
     assert "FAIL" not in out
 
 

@@ -30,12 +30,20 @@ def test_all_one_vector_is_eigenvector():
 
 def test_matches_jacobi_oracle_on_random_symmetric():
     rng = np.random.Generator(np.random.Philox(5))
-    M = rng.standard_normal((6, 6))
-    M = 0.5 * (M + M.T)
-    cm, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
-    sm = sector.SectorMatrix(basis=sm.basis, couplings=cm, matrix=M)
+    J = np.triu(rng.standard_normal((4, 4)), 1)
+    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 4, 0, J + J.T)
+    sm = sector.assemble(cm, basis.build_basis(4, 2))
     spec = spectrum.diagonalize(sm)
-    assert np.abs(spec.eigenvalues - jacobi_eigenvalues(M)).max() <= 1e-10
+    assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix)).max() <= 1e-10
+
+
+def test_rejects_symmetric_matrix_without_su2_symmetry():
+    rng = np.random.Generator(np.random.Philox(5))
+    M = rng.standard_normal((6, 6))
+    cm, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
+    sm = sector.SectorMatrix(basis=sm.basis, couplings=cm, matrix=0.5 * (M + M.T))
+    with pytest.raises(spectrum.SpectrumError, match="residual"):
+        spectrum.diagonalize(sm)
 
 
 def test_sign_convention_and_determinism():
@@ -59,10 +67,11 @@ def test_eigensolver_postconditions():
 
 
 def test_nonfinite_input_raises():
-    _, sm = _sector(couplings.InfiniteRange(), 6, 2, 0)
-    sm.matrix[0, 0] = np.nan
-    with pytest.raises(spectrum.SpectrumError):
-        spectrum.diagonalize(sm)
+    for sites, magnons, bad in ((6, 2, np.nan), (10, 2, np.nan), (10, 2, np.inf)):
+        _, sm = _sector(couplings.InfiniteRange(), sites, magnons, 0)
+        sm.matrix[0, 0] = bad
+        with pytest.raises(spectrum.SpectrumError):
+            spectrum.diagonalize(sm)
 
 
 def test_group_degeneracies_simple():
