@@ -9,7 +9,6 @@ random-state ensembles, and finite-size scaling fits.
 from .basis import SectorBasis, build_basis, rank, unrank
 from .couplings import (
     CouplingMatrix,
-    DisorderPlan,
     InfiniteRange,
     NearestNeighbour,
     PowerLaw,
@@ -35,7 +34,6 @@ __all__ = [
     "rank",
     "unrank",
     "CouplingMatrix",
-    "DisorderPlan",
     "InfiniteRange",
     "NearestNeighbour",
     "PowerLaw",

@@ -55,27 +55,20 @@ class SectorBasis:
     def rank(self, pattern: int) -> int:
         return rank(self.sites, self.magnons, pattern)
 
-    def index_of_sites(self, up_sites: tuple[int, ...]) -> int:
-        """Rank of the state whose up spins sit exactly at ``up_sites``."""
-        pattern = 0
-        for s in up_sites:
-            pattern |= 1 << s
-        return self.rank(pattern)
 
-
-def build_basis(sites: int, magnons: int, max_dim: int = DEFAULT_MAX_DIM) -> SectorBasis:
+def build_basis(sites: int, magnons: int) -> SectorBasis:
     """Enumerate the m-magnon sector of L sites.
 
     Raises ValueError when the arguments are out of range or the sector
-    dimension exceeds ``max_dim``.
+    dimension exceeds ``DEFAULT_MAX_DIM``.
     """
     if sites < 1:
         raise ValueError(f"need at least one site, got {sites}")
     if not 0 <= magnons <= sites:
         raise ValueError(f"magnon number {magnons} outside 0..{sites}")
     dim = comb(sites, magnons)
-    if dim > max_dim:
-        raise ValueError(f"sector dimension {dim} exceeds budget {max_dim}")
+    if dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"sector dimension {dim} exceeds budget {DEFAULT_MAX_DIM}")
 
     # combinations() yields ascending site tuples in lexicographic order;
     # packing them little-endian gives ascending integers.
@@ -187,20 +180,3 @@ def unrank(sites: int, magnons: int, r: int) -> int:
         r -= comb(p, k)
         top = p
     return pattern
-
-
-def pair_partners(basis: SectorBasis, k: int, i: int, j: int) -> list[tuple[int, int]]:
-    """States reached from state k by swapping the spins at sites i and j.
-
-    Empty when the two spins are equal (the swap acts as identity);
-    otherwise a single (index, pattern) pair in the same sector.
-    """
-    if i == j:
-        raise ValueError("pair sites must differ")
-    pattern = basis.states[k]
-    bi = (pattern >> i) & 1
-    bj = (pattern >> j) & 1
-    if bi == bj:
-        return []
-    swapped = pattern ^ ((1 << i) | (1 << j))
-    return [(basis.rank(swapped), swapped)]

@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import __version__, basis, couplings, ensembles, entanglement, fitting, l
 
 WORKERS_ENV = "HEISENGLASS_WORKERS"
 
-REPORT_HEADER = "sample," + entanglement.StateReport.CSV_HEADER
+REPORT_HEADER = "sample,index,eigenvalue,E_minus_SJ,avg_concurrence,PR,promoted,degenerate"
 PHASE_HEADER = "sample,index,avg_concurrence,PR,promoted,degenerate"
 
 SCALING_TARGETS = ("eigenstates", "random", "random-promoted")
@@ -135,8 +136,8 @@ def _classified_sample(
     """Sample, diagonalize and classify one disorder realization.
 
     Raises InvariantError unless exactly min(C(L, m-1), C(L, m)) states
-    are promoted and none is ambiguous: sigma^+ maps the m-1 sector
-    injectively into the m sector for 2m <= L, and onto it for 2m > L.
+    are promoted: sigma^+ maps the m-1 sector injectively into the m
+    sector for 2m <= L, and onto it for 2m > L.
     """
     cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
     lower = basis.build_basis(sites, magnons - 1)
@@ -145,12 +146,26 @@ def _classified_sample(
     spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
     cls = ladder.classify(spec, pmap, ladder_tol)
     expected = min(lower.dim, upper.dim)
-    if cls.n_promoted != expected or cls.n_ambiguous:
+    if cls.n_promoted != expected:
         raise InvariantError(
-            f"sample {index} (L={sites}, m={magnons}): {cls.n_promoted} promoted states, "
-            f"expected {expected}; {cls.n_ambiguous} ambiguous"
+            f"sample {index} (L={sites}, m={magnons}): {cls.n_promoted} promoted states, expected {expected}"
         )
     return cm, upper, spec, cls
+
+
+class StateArrays(NamedTuple):
+    """Per-eigenstate columns of one disorder realization, ascending in energy.
+
+    ``promoted`` holds the ladder labels and ``degenerate`` is 1 for
+    states in a degeneracy group, 0 otherwise.
+    """
+
+    eigenvalue: np.ndarray
+    e_minus_sj: np.ndarray
+    avg_concurrence: np.ndarray
+    participation: np.ndarray
+    promoted: np.ndarray
+    degenerate: np.ndarray
 
 
 def eigenstate_sample(
@@ -161,28 +176,30 @@ def eigenstate_sample(
     index: int,
     degtol: float | None = None,
     ladder_tol: float = ladder.LADDER_TOL,
-) -> list[entanglement.StateReport]:
+) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
     cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index, degtol, ladder_tol)
-    cbar = entanglement.average_concurrence_columns(upper, cls.vectors)
-    pr = entanglement.participation_ratio(cls.vectors)
-    shift = spec.eigenvalues - cm.coupling_sum()
-    deg = spec.degenerate_mask()
-    return [
-        entanglement.StateReport(
-            index=k,
-            eigenvalue=float(spec.eigenvalues[k]),
-            e_minus_sj=float(shift[k]),
-            avg_concurrence=float(cbar[k]),
-            participation=float(pr[k]),
-            promoted=int(cls.labels[k]),
-            degenerate=bool(deg[k]),
-        )
-        for k in range(spec.dim)
-    ]
+    return StateArrays(
+        eigenvalue=spec.eigenvalues,
+        e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
+        avg_concurrence=entanglement.average_concurrence_columns(upper, spec.vectors),
+        participation=entanglement.participation_ratio(spec.vectors),
+        promoted=cls.labels,
+        degenerate=spec.degenerate_mask().astype(np.int64),
+    )
 
 
-def _eigen_job(args: tuple) -> list[entanglement.StateReport]:
+def state_rows(columns) -> list[str]:
+    """CSV rows ``index,col,...`` over per-state numeric columns.
+
+    Values go through ``tolist``, so each is written as the repr of a
+    Python float or int and no numpy scalar repr reaches the output.
+    """
+    lists = [np.asarray(c).tolist() for c in columns]
+    return [",".join(map(repr, (k, *row))) for k, row in enumerate(zip(*lists))]
+
+
+def _eigen_job(args: tuple) -> StateArrays:
     model_d, sites, magnons, seed, index, degtol, ladder_tol = args
     model = couplings.model_from_dict(model_d)
     return eigenstate_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
@@ -192,8 +209,8 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states."""
     model_d, sites, magnons, seed, index, degtol, ladder_tol = args
     model = couplings.model_from_dict(model_d)
-    _, upper, _, cls = _classified_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
-    pc = entanglement.pair_concurrences(upper, cls.vectors[:, cls.labels == ladder.PROMOTED])
+    _, upper, spec, cls = _classified_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
+    pc = entanglement.pair_concurrences(upper, spec.vectors[:, cls.labels == ladder.PROMOTED])
     return float(pc.mean(axis=0).mean()), float((pc > 0.0).mean(axis=0).mean())
 
 
@@ -229,8 +246,8 @@ def cmd_spectrum_report(cfg: ExperimentConfig) -> int:
         for k in range(cfg.samples)
     ]
     rows = [REPORT_HEADER]
-    for k, reports in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
-        rows.extend(f"{k},{rep.csv_row()}" for rep in reports)
+    for k, arrays in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
+        rows.extend(f"{k},{row}" for row in state_rows(arrays))
     _write_output(cfg.out / "spectrum_report.csv", cfg.header(), rows)
     return 0
 
@@ -245,12 +262,9 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
             for k in range(cfg.samples)
         ]
         rows = [PHASE_HEADER]
-        for k, reports in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
-            rows.extend(
-                f"{k},{rep.index},{rep.avg_concurrence!r},{rep.participation!r},"
-                f"{rep.promoted},{int(rep.degenerate)}"
-                for rep in reports
-            )
+        for k, a in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
+            columns = (a.avg_concurrence, a.participation, a.promoted, a.degenerate)
+            rows.extend(f"{k},{row}" for row in state_rows(columns))
         header = dict(cfg.header(), sigma=_json_float(sigma))
         _write_output(cfg.out / f"phase_sigma_{format_sigma(sigma)}.csv", header, rows)
     return 0
@@ -479,8 +493,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--samples must be positive")
     if not cfg.sites:
         raise ConfigError("-L needs at least one system size")
-    if cfg.sigma is not None and cfg.sigma < 0:
+    # written as "not x >= 0" so that NaN fails too
+    if cfg.sigma is not None and not cfg.sigma >= 0:
         raise ConfigError("--sigma must be non-negative")
+    if cfg.degtol is not None and not (math.isfinite(cfg.degtol) and cfg.degtol >= 0):
+        raise ConfigError("--degtol must be finite and non-negative")
+    if not (math.isfinite(cfg.ladder_tol) and cfg.ladder_tol > 0):
+        raise ConfigError("--ladder-tol must be finite and positive")
     needs_model = cfg.command == "spectrum-report" or (
         cfg.command == "scaling" and cfg.target == "eigenstates"
     )
@@ -493,7 +512,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check_sector(cfg.sites[0], cfg.magnons, _pool_size(cfg.workers, cfg.samples))
     if cfg.command == "phase-diagram":
         assert cfg.sigmas is not None  # argparse enforces --sigmas
-        if any(s < 0 for s in cfg.sigmas):
+        if any(not s >= 0 for s in cfg.sigmas):
             raise ConfigError("--sigmas entries must be non-negative")
         labels = [format_sigma(s) for s in cfg.sigmas]
         if len(set(labels)) != len(labels):

@@ -16,8 +16,6 @@ how many samples are drawn around it.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -214,24 +212,6 @@ def coupling_sum(J: np.ndarray) -> float:
     return float(np.triu(J, k=1).sum())
 
 
-@dataclass
-class DisorderPlan:
-    """A reproducible batch of disorder samples."""
-
-    model: Model
-    sites: int
-    n_samples: int
-    master_seed: int
-
-    def seed_for(self, index: int) -> np.random.SeedSequence:
-        if not 0 <= index < self.n_samples:
-            raise ValueError(f"sample index {index} outside 0..{self.n_samples - 1}")
-        return sample_seed(self.master_seed, index)
-
-    def realization(self, index: int) -> CouplingMatrix:
-        return sample_couplings(self.model, self.sites, self.seed_for(index))
-
-
 def model_to_dict(model: Model) -> dict:
     d: dict = {"name": model.name}
     if isinstance(model, PowerLaw):
@@ -248,38 +228,3 @@ def model_from_dict(d: dict) -> Model:
     if name == PowerLaw.name:
         return PowerLaw(sigma=float(d["sigma"]))
     raise ValueError(f"unknown model name {name!r}")
-
-
-def to_csv(cm: CouplingMatrix) -> str:
-    """Serialize as CSV rows ``i,j,J_ij`` (sites 1-indexed) behind a JSON header."""
-    header = {
-        "model": model_to_dict(cm.model),
-        "sites": cm.sites,
-        "seed": cm.seed,
-    }
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    buf.write("i,j,J_ij\n")
-    for i in range(cm.sites):
-        for j in range(i + 1, cm.sites):
-            buf.write(f"{i + 1},{j + 1},{float(cm.J[i, j])!r}\n")
-    return buf.getvalue()
-
-
-def from_csv(text: str) -> CouplingMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing JSON header line")
-    header = json.loads(lines[0].lstrip("# "))
-    sites = int(header["sites"])
-    J = np.zeros((sites, sites), dtype=np.float64)
-    for ln in lines[2:]:
-        si, sj, sv = ln.split(",")
-        i, j = int(si) - 1, int(sj) - 1
-        J[i, j] = J[j, i] = float(sv)
-    return CouplingMatrix(
-        model=model_from_dict(header["model"]),
-        sites=sites,
-        seed=int(header["seed"]),
-        J=J,
-    )

@@ -223,25 +223,3 @@ def participation_ratio(coefficients: np.ndarray) -> np.ndarray | float:
     """Effective number of participating basis states, 1 / IPR."""
     ipr = inverse_participation_ratio(coefficients)
     return 1.0 / ipr
-
-
-@dataclass
-class StateReport:
-    """One row of a per-eigenstate report."""
-
-    index: int
-    eigenvalue: float
-    e_minus_sj: float
-    avg_concurrence: float
-    participation: float
-    promoted: int  # 1 promoted, 0 new, -1 ambiguous
-    degenerate: bool
-
-    CSV_HEADER = "index,eigenvalue,E_minus_SJ,avg_concurrence,PR,promoted,degenerate"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.index},{self.eigenvalue!r},{self.e_minus_sj!r},"
-            f"{self.avg_concurrence!r},{self.participation!r},"
-            f"{self.promoted},{int(self.degenerate)}"
-        )

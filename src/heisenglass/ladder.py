@@ -3,10 +3,13 @@
 The raising operator sum_i sigma_i^+ commutes with the Hamiltonian, so
 normalizing its action on an m-magnon eigenstate yields an
 (m+1)-magnon eigenstate with the same eigenvalue.  Eigenstates that
-arise this way ("promoted") are detected through sigma^+ sigma^-, whose
-eigenvalues on exact eigenstates are integers fixed by angular-momentum
-algebra: 0 for states annihilated by the lowering operator ("new"),
-at least L - 2m + 2 otherwise.
+arise this way ("promoted") are detected through sigma^+ sigma^-, which
+on total spin S and magnetization M = m - L/2 is S^2 - S_z^2 + S_z, the
+integer S(S+1) - M^2 + M: 0 for states annihilated by the lowering
+operator ("new", S = L/2 - m), at least L - 2m + 2 otherwise.  Every
+eigenvector of :func:`spectrum.diagonalize` lies in one total-spin
+block, so :func:`classify` needs one norm pass and checks each value
+against the integer of its block.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from math import comb
 import numpy as np
 
 from .basis import SectorBasis, build_basis
-from .spectrum import Spectrum, fix_signs
+from .spectrum import Spectrum, SpectrumError
 
 LADDER_TOL = 0.5
 
 PROMOTED = 1
 NEW = 0
-AMBIGUOUS = -1
 
 
 class ZeroPromotionError(ValueError):
@@ -102,29 +104,18 @@ def promote(state, pmap: PromotionMap):
     return DefiniteParticleState(pmap.target, raw / norm)
 
 
-def lower(state, pmap: PromotionMap) -> np.ndarray:
-    """Unnormalized sigma^- |state> as source-sector coefficients."""
-    if state.basis is not pmap.target and state.basis.states != pmap.target.states:
-        raise ValueError("state does not live in the target sector of the map")
-    return pmap.apply_adjoint(state.coefficients)
-
-
 @dataclass
 class Classification:
     """Promoted / new labels for every eigenstate of one spectrum.
 
-    ``vectors`` are the spectrum's eigenvectors after re-rotation inside
-    each degeneracy group; outside groups they are untouched.
     ``ladder_eigenvalues`` holds <psi| sigma^+ sigma^- |psi> per state
-    (the group-diagonalized values inside degenerate groups).
+    and ``ladder_integers`` the value S(S+1) - M^2 + M that the state's
+    total-spin block fixes.
     """
 
     labels: np.ndarray
     ladder_eigenvalues: np.ndarray
-    lowering_norms: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-    degenerate: np.ndarray = field(repr=False)
-    ladder_tol: float = LADDER_TOL
+    ladder_integers: np.ndarray
 
     @property
     def n_promoted(self) -> int:
@@ -135,56 +126,40 @@ class Classification:
         return int((self.labels == NEW).sum())
 
     @property
-    def n_ambiguous(self) -> int:
-        return int((self.labels == AMBIGUOUS).sum())
-
-
-def _label(value: float, tol: float) -> int:
-    if value > tol:
-        return PROMOTED
-    if value < tol:
-        return NEW
-    return AMBIGUOUS
+    def integer_distance(self) -> float:
+        """Worst |ladder eigenvalue - block integer| over the states."""
+        return float(np.abs(self.ladder_eigenvalues - self.ladder_integers).max(initial=0.0))
 
 
 def classify(spectrum: Spectrum, pmap: PromotionMap, ladder_tol: float = LADDER_TOL) -> Classification:
-    """Label each eigenstate by the sigma^+ sigma^- eigenvalue.
+    """Label each eigenstate by its sigma^+ sigma^- eigenvalue.
 
-    Within a degeneracy group the operator is diagonalized on the group
-    subspace and the eigenvectors are rotated accordingly, so labels do
-    not depend on the arbitrary basis LAPACK returned for the group.
+    Every eigenvector lies in one total-spin block, so no rotation inside
+    degeneracy groups is needed: the value is the squared norm of
+    sigma^- |psi>, taken through the gather tables of ``pmap``, and a
+    state is promoted when it exceeds ``ladder_tol``.  Each value must
+    match the integer S(S+1) - M^2 + M of the state's block to within
+    1e-8 * max(1, integer); otherwise SpectrumError is raised, since the
+    vector then mixes total spins or carries the wrong block label.
     """
-    if pmap.target.magnons != spectrum.matrix.basis.magnons:
+    b = spectrum.matrix.basis
+    if pmap.target.magnons != b.magnons:
         raise ValueError("promotion map target must match the spectrum's sector")
-    vectors = spectrum.vectors.copy()
-    lowered = pmap.apply_adjoint(vectors)
-
-    dim = spectrum.dim
-    values = np.empty(dim, dtype=np.float64)
-    labels = np.empty(dim, dtype=np.int64)
-    degenerate = spectrum.degenerate_mask()
-
-    for a, b in spectrum.groups:
-        if b - a == 1:
-            values[a] = float(lowered[:, a] @ lowered[:, a])
-        else:
-            # restriction of sigma^+ sigma^- to the degenerate subspace
-            G = lowered[:, a:b].T @ lowered[:, a:b]
-            G = 0.5 * (G + G.T)
-            gvals, gvecs = np.linalg.eigh(G)
-            vectors[:, a:b] = fix_signs(vectors[:, a:b] @ gvecs)
-            lowered[:, a:b] = lowered[:, a:b] @ gvecs
-            values[a:b] = gvals
-    for k in range(dim):
-        labels[k] = _label(values[k], ladder_tol)
-
+    lowered = pmap.apply_adjoint(spectrum.vectors)
+    values = np.einsum("ij,ij->j", lowered, lowered)
+    m2 = 2 * b.magnons - b.sites  # 2M
+    integers = (spectrum.two_s * (spectrum.two_s + 2) - m2 * m2 + 2 * m2) // 4
+    off = ~(np.abs(values - integers) <= 1e-8 * np.maximum(1, integers))  # NaN is off too
+    if off.any():
+        k = int(np.argmax(off))
+        raise SpectrumError(
+            f"ladder value {values[k]:.12g} of state {k} is not {integers[k]}, "
+            f"the integer of its spin block 2S={spectrum.two_s[k]}"
+        )
     return Classification(
-        labels=labels,
+        labels=np.where(values > ladder_tol, PROMOTED, NEW),
         ladder_eigenvalues=values,
-        lowering_norms=np.sqrt(np.maximum(values, 0.0)),
-        vectors=vectors,
-        degenerate=degenerate,
-        ladder_tol=ladder_tol,
+        ladder_integers=integers,
     )
 
 

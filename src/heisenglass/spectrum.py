@@ -26,14 +26,16 @@ class Spectrum:
     """Eigendecomposition of one sector matrix.
 
     Eigenvalues ascend; eigenvector k is column k of ``vectors`` with
-    its largest-magnitude component made positive.  ``groups`` lists
-    contiguous (start, stop) index ranges of eigenvalues that chain
-    together within ``degtol``.
+    its largest-magnitude component made positive, and lies in the
+    total-spin block ``two_s[k]`` = 2S.  ``groups`` lists contiguous
+    (start, stop) index ranges of eigenvalues that chain together within
+    ``degtol``.
     """
 
     matrix: SectorMatrix
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    two_s: np.ndarray
     degtol: float
     groups: list[tuple[int, int]] = field(repr=False)
 
@@ -100,13 +102,15 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     if not np.isfinite(H).all():
         raise SpectrumError("sector matrix has non-finite entries")
     blocks = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
-    solved = [_solve_block(H, blocks.pop(two_s), two_s) for two_s in list(blocks)]
+    keys = list(blocks)
+    solved = [_solve_block(H, blocks.pop(two_s), two_s) for two_s in keys]
 
     evals_by_block = np.concatenate([w for w, _, _ in solved])
     order = np.argsort(evals_by_block, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     evals = evals_by_block[order]
+    two_s = np.repeat(keys, [w.size for w, _, _ in solved])[order]
     residual = np.concatenate([r for _, _, r in solved])
 
     scale = max(1.0, float(np.linalg.norm(H)))
@@ -136,6 +140,7 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
         matrix=sm,
         eigenvalues=evals,
         vectors=vectors,
+        two_s=two_s,
         degtol=degtol,
         groups=group_degeneracies(evals, degtol),
     )

@@ -198,11 +198,11 @@ def _eigen_reports(model, sites, magnons, seed, samples):
 def _cloud_ratio(model, samples=50):
     counts = []
     promoted, new = [], []
-    for reports in _eigen_reports(model, 25, 2, MASTER, samples):
-        counts.append(sum(r.promoted == 1 for r in reports))
-        promoted.extend(r.avg_concurrence for r in reports if r.promoted == 1)
-        new.extend(r.avg_concurrence for r in reports if r.promoted == 0)
-    return float(np.mean(promoted) / np.mean(new)), set(counts)
+    for arrays in _eigen_reports(model, 25, 2, MASTER, samples):
+        counts.append(int((arrays.promoted == 1).sum()))
+        promoted.append(arrays.avg_concurrence[arrays.promoted == 1])
+        new.append(arrays.avg_concurrence[arrays.promoted == 0])
+    return float(np.concatenate(promoted).mean() / np.concatenate(new).mean()), set(counts)
 
 
 def test_criterion_08_promoted_cloud_separation():

@@ -118,6 +118,14 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
         ["scaling", "--target", "random", "-L", "8,12,16,24", "--zero-sum"],
         ["scaling", "--target", "random-promoted", "-L", "2,8,12,16,24"],
         ["scaling", "--target", "eigenstates", "-L", "8,12,16,16"],
+        ["spectrum-report", "-L", "10", "--model", "pl", "--sigma", "nan"],
+        ["spectrum-report", "-L", "10", "--degtol", "nan"],
+        ["spectrum-report", "-L", "10", "--degtol", "inf"],
+        ["spectrum-report", "-L", "10", "--degtol", "-1"],
+        ["spectrum-report", "-L", "10", "--ladder-tol", "nan"],
+        ["spectrum-report", "-L", "10", "--ladder-tol", "inf"],
+        ["spectrum-report", "-L", "10", "--ladder-tol", "0"],
+        ["phase-diagram", "-L", "10", "--sigmas", "0,nan"],
     ],
 )
 def test_bad_configuration_exits_two(argv, capsys):
@@ -258,9 +266,9 @@ def test_eigenstate_sample_matches_job_wrapper():
     model = couplings.InfiniteRange()
     direct = cli.eigenstate_sample(model, 8, 2, 11, 0)
     wrapped = cli._eigen_job((couplings.model_to_dict(model), 8, 2, 11, 0, None, ladder.LADDER_TOL))
-    assert [r.csv_row() for r in direct] == [r.csv_row() for r in wrapped]
-    assert [r.index for r in direct] == list(range(28))
-    assert sum(r.promoted == 1 for r in direct) == 8
+    assert all(np.array_equal(a, b) for a, b in zip(direct, wrapped))
+    assert all(len(column) == 28 for column in direct)
+    assert int(direct.promoted.sum()) == 8
 
 
 def test_promoted_count_mismatch_exits_one(tmp_path, capsys):

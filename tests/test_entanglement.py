@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from heisenglass import basis, entanglement, ladder
+from heisenglass import basis, cli, entanglement, ladder
 from heisenglass.verify import wootters_concurrence
 
 
@@ -239,16 +239,11 @@ def test_promoted_ipr_exact_twelfth_at_eight_sites():
 
 
 def test_state_report_row_format():
-    rep = entanglement.StateReport(
-        index=4,
-        eigenvalue=-1.5,
-        e_minus_sj=0.25,
-        avg_concurrence=0.125,
-        participation=3.0,
-        promoted=1,
-        degenerate=False,
-    )
-    assert entanglement.StateReport.CSV_HEADER == (
-        "index,eigenvalue,E_minus_SJ,avg_concurrence,PR,promoted,degenerate"
-    )
-    assert rep.csv_row() == "4,-1.5,0.25,0.125,3.0,1,0"
+    assert cli.REPORT_HEADER == "sample,index,eigenvalue,E_minus_SJ,avg_concurrence,PR,promoted,degenerate"
+    values = (-1.5, 0.25, 0.125, 3.0, 1, 0)
+    plain = [[0] * 4 + [v] for v in values]
+    # numpy scalars and arrays must not leak a np.float64(...) repr
+    scalars = [[np.float64(x) if isinstance(v, float) else np.int64(x) for x in c] for v, c in zip(values, plain)]
+    arrays = [np.array(c) for c in plain]
+    for columns in (plain, scalars, arrays):
+        assert cli.state_rows(columns)[4] == "4,-1.5,0.25,0.125,3.0,1,0"

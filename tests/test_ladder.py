@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb, sqrt
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_lower_promote_vacuum_roundtrip():
     pmap = _promotion(7, 0)
     vacuum = entanglement.DefiniteParticleState(basis.build_basis(7, 0), np.ones(1))
     promoted = ladder.promote(vacuum, pmap)
-    back = ladder.lower(promoted, pmap)
+    back = pmap.apply_adjoint(promoted.coefficients)
     assert back.shape == (1,)
     assert back[0] == pytest.approx(sqrt(7), abs=1e-12)
 
@@ -141,13 +142,12 @@ def test_classification_counts_large_sector():
     _, _, cls = _classified(couplings.InfiniteRange(), 25, 2, 0)
     assert cls.n_promoted == 25
     assert cls.n_new == 275
-    assert cls.n_ambiguous == 0
     assert ladder.expected_counts(25, 2) == (25, 275)
 
 
 def test_new_states_are_annihilated_by_lowering():
-    _, pmap, cls = _classified(couplings.InfiniteRange(), 10, 2, 7)
-    lowered = pmap.apply_adjoint(cls.vectors)
+    spec, pmap, cls = _classified(couplings.InfiniteRange(), 10, 2, 7)
+    lowered = pmap.apply_adjoint(spec.vectors)
     norms = np.linalg.norm(lowered, axis=0)
     assert norms[cls.labels == ladder.NEW].max() <= 1e-8
     assert norms[cls.labels == ladder.PROMOTED].min() >= 1.0
@@ -159,6 +159,39 @@ def test_ladder_eigenvalues_are_integers():
     values = set(np.round(cls.ladder_eigenvalues[cls.labels == ladder.PROMOTED]).astype(int))
     # generic promoted states sit at L-2; the all-one state at 2(L-1)
     assert values == {8, 18}
+
+
+def test_ladder_values_sit_on_block_integers():
+    # L=7, m=2: M=-3/2, blocks 2S=3,5,7 carry S(S+1)-M^2+M = 0, 5, 12
+    spec, _, cls = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    assert np.array_equal(cls.ladder_integers, np.select([spec.two_s == 3, spec.two_s == 5], [0, 5], 12))
+    assert cls.integer_distance <= 1e-12
+    assert np.array_equal(cls.labels, np.where(spec.two_s > 3, ladder.PROMOTED, ladder.NEW))
+
+
+def _two_block_columns(spec):
+    i = int(np.flatnonzero(spec.two_s == 3)[0])
+    j = int(np.flatnonzero(spec.two_s == 5)[0])
+    return i, j
+
+
+def test_classify_rejects_swapped_block_labels():
+    spec, pmap, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    i, j = _two_block_columns(spec)
+    two_s = spec.two_s.copy()
+    two_s[[i, j]] = two_s[[j, i]]
+    with pytest.raises(spectrum.SpectrumError, match="integer of its spin block"):
+        ladder.classify(dataclasses.replace(spec, two_s=two_s), pmap)
+
+
+def test_classify_rejects_vector_mixing_two_spins():
+    spec, pmap, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    i, j = _two_block_columns(spec)
+    vectors = spec.vectors.copy()
+    a, b = spec.vectors[:, i], spec.vectors[:, j]
+    vectors[:, i], vectors[:, j] = (a + b) / sqrt(2), (a - b) / sqrt(2)  # still orthonormal
+    with pytest.raises(spectrum.SpectrumError, match="integer of its spin block"):
+        ladder.classify(dataclasses.replace(spec, vectors=vectors), pmap)
 
 
 def test_all_one_state_classified_promoted():
@@ -198,10 +231,8 @@ def test_labels_invariant_under_coupling_rescale():
 
 def test_promoted_cloud_sits_above_new_median():
     for seed in (0, 1, 2):
-        _, _, cls = _classified(couplings.InfiniteRange(), 25, 2, seed)
-        cbar = entanglement.average_concurrence_columns(
-            basis.build_basis(25, 2), cls.vectors
-        )
+        spec, _, cls = _classified(couplings.InfiniteRange(), 25, 2, seed)
+        cbar = entanglement.average_concurrence_columns(spec.matrix.basis, spec.vectors)
         promoted = cbar[cls.labels == ladder.PROMOTED]
         new = cbar[cls.labels == ladder.NEW]
         assert promoted.min() > np.median(new)

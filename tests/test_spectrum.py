@@ -87,12 +87,27 @@ def test_triplet_grouping():
     assert groups == [(0, 1), (1, 4)]
 
 
+def test_columns_carry_their_spin_block():
+    _, sm = _sector(couplings.PowerLaw(1.0), 9, 4, 6)
+    spec = spectrum.diagonalize(sm)
+    blocks = basis.total_spin_blocks(9, 4)
+    assert spec.two_s.dtype.kind == "i"
+    assert {k: int((spec.two_s == k).sum()) for k in blocks} == {k: q.shape[1] for k, q in blocks.items()}
+    # column k lies entirely in the span of block two_s[k]
+    inside = np.empty(spec.dim)
+    for k, q in blocks.items():
+        cols = spec.two_s == k
+        inside[cols] = np.linalg.norm(q.T @ spec.vectors[:, cols], axis=0)
+    assert np.abs(inside - 1.0).max() <= 1e-12
+
+
 def test_degenerate_mask():
     _, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
     spec = spectrum.Spectrum(
         matrix=sm,
         eigenvalues=np.array([1.0, 1.0, 2.0]),
         vectors=np.eye(3),
+        two_s=np.array([0, 0, 2]),
         degtol=1e-8,
         groups=[(0, 2), (2, 3)],
     )
