@@ -45,12 +45,14 @@ class SectorBasis:
         w, b = divmod(i, 64)
         return (self.words[:, w] >> np.uint64(b)) & np.uint64(1) != 0
 
+    def occupancy(self) -> np.ndarray:
+        """(dim, L) boolean array: is site i up in each basis state."""
+        sites = np.arange(self.sites, dtype=np.uint64)
+        return (self.words[:, sites // np.uint64(64)] >> (sites % np.uint64(64))) & np.uint64(1) != 0
+
     def spins(self) -> np.ndarray:
         """(dim, L) array of +-1 spin values, +1 for up."""
-        out = np.empty((self.dim, self.sites), dtype=np.float64)
-        for i in range(self.sites):
-            out[:, i] = np.where(self.bit_column(i), 1.0, -1.0)
-        return out
+        return np.where(self.occupancy(), 1.0, -1.0)
 
     def rank(self, pattern: int) -> int:
         return rank(self.sites, self.magnons, pattern)
@@ -163,6 +165,29 @@ def rank(sites: int, magnons: int, pattern: int) -> int:
     if k != magnons:
         raise ValueError(f"pattern has {k} bits set, sector expects {magnons}")
     return r
+
+
+def cleared_ranks(b: SectorBasis) -> np.ndarray:
+    """Ranks in sector m-1 of every pattern of ``b`` with one up spin cleared.
+
+    Row t, column c holds the rank of the t-th pattern with its c-th
+    lowest set bit cleared.  With set sites p_0 < ... < p_{m-1} the rank
+    is sum_c C(p_c, c+1) (see :func:`rank`); clearing p_c drops its term,
+    keeps the terms below it and lowers the count of every term above it
+    by one: sum_{c'<c} C(p_c', c'+1) + sum_{c'>c} C(p_c', c').
+    """
+    L, m = b.sites, b.magnons
+    set_sites = np.nonzero(b.occupancy())[1].reshape(b.dim, m)
+    # C(i, k) where i <= L-m+k, the only entries read (set bit c sits at most
+    # at site L-m+c); zero elsewhere, where C(i, k) can overflow int64
+    table = np.array([[comb(i, k) if i <= L - m + k else 0 for k in range(m + 1)] for i in range(L)],
+                     dtype=np.int64)
+    count = np.arange(m)
+    up = table[set_sites, count + 1]  # terms of the pattern's own rank
+    down = table[set_sites, count]  # the same terms one count lower
+    below = np.cumsum(up, axis=1) - up
+    above = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
+    return below + above
 
 
 def unrank(sites: int, magnons: int, r: int) -> int:

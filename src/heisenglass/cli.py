@@ -58,7 +58,6 @@ class ExperimentConfig:
     sigmas: tuple[float, ...] | None = None
     zero_sum: bool = False
     degtol: float | None = None
-    ladder_tol: float = ladder.LADDER_TOL
     workers: int = 1
 
     def header(self) -> dict:
@@ -80,7 +79,7 @@ class ExperimentConfig:
             "sigmas": None if self.sigmas is None else [_json_float(s) for s in self.sigmas],
             "zero_sum": self.zero_sum,
             "degtol": self.degtol,
-            "ladder_tol": self.ladder_tol,
+            "ladder_tol": ladder.LADDER_TOL,
             "version": __version__,
         }
         return d
@@ -131,7 +130,6 @@ def _classified_sample(
     master_seed: int,
     index: int,
     degtol: float | None,
-    ladder_tol: float,
 ) -> tuple[couplings.CouplingMatrix, basis.SectorBasis, spectrum.Spectrum, ladder.Classification]:
     """Sample, diagonalize and classify one disorder realization.
 
@@ -144,7 +142,7 @@ def _classified_sample(
     upper = basis.build_basis(sites, magnons)
     pmap = ladder.promotion_map(lower, upper)
     spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
-    cls = ladder.classify(spec, pmap, ladder_tol)
+    cls = ladder.classify(spec, pmap)
     expected = min(lower.dim, upper.dim)
     if cls.n_promoted != expected:
         raise InvariantError(
@@ -175,10 +173,9 @@ def eigenstate_sample(
     master_seed: int,
     index: int,
     degtol: float | None = None,
-    ladder_tol: float = ladder.LADDER_TOL,
 ) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
-    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index, degtol, ladder_tol)
+    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index, degtol)
     return StateArrays(
         eigenvalue=spec.eigenvalues,
         e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
@@ -200,16 +197,13 @@ def state_rows(columns) -> list[str]:
 
 
 def _eigen_job(args: tuple) -> StateArrays:
-    model_d, sites, magnons, seed, index, degtol, ladder_tol = args
-    model = couplings.model_from_dict(model_d)
-    return eigenstate_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
+    """``args`` is (model, sites, magnons, seed, index, degtol)."""
+    return eigenstate_sample(*args)
 
 
 def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states."""
-    model_d, sites, magnons, seed, index, degtol, ladder_tol = args
-    model = couplings.model_from_dict(model_d)
-    _, upper, spec, cls = _classified_sample(model, sites, magnons, seed, index, degtol, ladder_tol)
+    _, upper, spec, cls = _classified_sample(*args)
     pc = entanglement.pair_concurrences(upper, spec.vectors[:, cls.labels == ladder.PROMOTED])
     return float(pc.mean(axis=0).mean()), float((pc > 0.0).mean(axis=0).mean())
 
@@ -241,10 +235,7 @@ def _write_output(path: Path, header: dict, lines: list[str]) -> None:
 def cmd_spectrum_report(cfg: ExperimentConfig) -> int:
     model = resolve_model(cfg.model, cfg.sigma)
     sites = cfg.sites[0]
-    jobs = [
-        (couplings.model_to_dict(model), sites, cfg.magnons, cfg.seed, k, cfg.degtol, cfg.ladder_tol)
-        for k in range(cfg.samples)
-    ]
+    jobs = [(model, sites, cfg.magnons, cfg.seed, k, cfg.degtol) for k in range(cfg.samples)]
     rows = [REPORT_HEADER]
     for k, arrays in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
         rows.extend(f"{k},{row}" for row in state_rows(arrays))
@@ -257,10 +248,7 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
     sites = cfg.sites[0]
     for sigma in cfg.sigmas:
         model = sigma_model(sigma)
-        jobs = [
-            (couplings.model_to_dict(model), sites, cfg.magnons, cfg.seed, k, cfg.degtol, cfg.ladder_tol)
-            for k in range(cfg.samples)
-        ]
+        jobs = [(model, sites, cfg.magnons, cfg.seed, k, cfg.degtol) for k in range(cfg.samples)]
         rows = [PHASE_HEADER]
         for k, a in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
             columns = (a.avg_concurrence, a.participation, a.promoted, a.degenerate)
@@ -275,10 +263,7 @@ def _eigenstate_estimates(cfg: ExperimentConfig, model: couplings.Model) -> list
     out = []
     for sites in cfg.sites:
         seed = scoped_seed(cfg.seed, sites)
-        jobs = [
-            (couplings.model_to_dict(model), sites, cfg.magnons, seed, k, cfg.degtol, cfg.ladder_tol)
-            for k in range(cfg.samples)
-        ]
+        jobs = [(model, sites, cfg.magnons, seed, k, cfg.degtol) for k in range(cfg.samples)]
         values = np.array(_map_jobs(_promoted_summary_job, jobs, cfg.workers))
         for col, quantity in ((0, ensembles.MEAN_CONCURRENCE), (1, ensembles.PROB_POSITIVE)):
             v = values[:, col]
@@ -423,8 +408,6 @@ def _add_common(sp: argparse.ArgumentParser, samples: int) -> None:
     sp.add_argument("--workers", type=int, default=None,
                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
     sp.add_argument("--degtol", type=float, default=None, help="degeneracy tolerance override")
-    sp.add_argument("--ladder-tol", type=float, default=ladder.LADDER_TOL,
-                    help="promoted/new classification threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,7 +462,6 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         sigmas=getattr(ns, "sigmas", None),
         zero_sum=getattr(ns, "zero_sum", False),
         degtol=ns.degtol,
-        ladder_tol=ns.ladder_tol,
         workers=_resolve_workers(ns.workers),
     )
     validate_config(cfg)
@@ -498,12 +480,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--sigma must be non-negative")
     if cfg.degtol is not None and not (math.isfinite(cfg.degtol) and cfg.degtol >= 0):
         raise ConfigError("--degtol must be finite and non-negative")
-    if not (math.isfinite(cfg.ladder_tol) and cfg.ladder_tol > 0):
-        raise ConfigError("--ladder-tol must be finite and positive")
-    needs_model = cfg.command == "spectrum-report" or (
-        cfg.command == "scaling" and cfg.target == "eigenstates"
-    )
-    if needs_model and cfg.model == "pl" and cfg.sigma is None:
+    _check_unread_options(cfg)
+    if cfg.model == "pl" and cfg.sigma is None:
         raise ConfigError("--model pl requires --sigma")
 
     if cfg.command in ("spectrum-report", "phase-diagram"):
@@ -526,14 +504,35 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError("random-ensemble scaling needs --samples >= 100")
             if cfg.samples > ensembles.MAX_SAMPLES:
                 raise ConfigError(f"random-ensemble scaling allows at most --samples {ensembles.MAX_SAMPLES}")
-            if cfg.zero_sum and cfg.target == "random":
-                raise ConfigError("--zero-sum applies to one-magnon seeds, not the random target")
             if any(sites < 3 for sites in cfg.sites):
                 raise ConfigError("random ensembles need L >= 3")
         if len(set(cfg.sites)) != len(cfg.sites):
             raise ConfigError("-L values must be distinct")
         if sum(1 for s in cfg.sites if s >= fitting.DEFAULT_MIN_SITES) < 4:
             raise ConfigError("scaling fits need at least four L values >= 8")
+
+
+def _check_unread_options(cfg: ExperimentConfig) -> None:
+    """Reject a non-default value of an option that the run never reads.
+
+    The header echoes every option, so such a value would be recorded
+    as if it had been used.  Defaults stay accepted.
+    """
+    random = cfg.command == "scaling" and cfg.target != "eigenstates"
+    fixed_model = random or cfg.command == "phase-diagram"
+    unread = {
+        "--pairs": cfg.pairs != "all" and not random,
+        "--zero-sum": cfg.zero_sum and cfg.target != "random-promoted",
+        "--degtol": cfg.degtol is not None and cfg.command == "scaling",
+        "--model": cfg.model != "ir" and fixed_model,
+        "--sigma": cfg.sigma is not None and fixed_model,
+        "--sigma without --model pl": cfg.sigma is not None and cfg.model != "pl",
+        "-m": cfg.magnons != 2 and random,
+    }
+    run = cfg.command if cfg.target is None else f"{cfg.command} --target {cfg.target}"
+    for option, given in unread.items():
+        if given:
+            raise ConfigError(f"{run} does not read {option}; leave it at its default")
 
 
 def _check_sector(sites: int, magnons: int, workers: int) -> None:

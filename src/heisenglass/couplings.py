@@ -47,11 +47,10 @@ Model = InfiniteRange | NearestNeighbour | PowerLaw
 
 @dataclass
 class CouplingMatrix:
-    """Symmetric coupling matrix with zero diagonal plus its provenance."""
+    """Symmetric coupling matrix with zero diagonal and its disorder model."""
 
     model: Model
     sites: int
-    seed: int
     J: np.ndarray
 
     def coupling_sum(self) -> float:
@@ -195,36 +194,10 @@ def sample_couplings(
         raise TypeError(f"unknown coupling model {model!r}")
 
     J += J.T
-    seed_int = seed if isinstance(seed, int) else _entropy_int(seed)
-    return CouplingMatrix(model=model, sites=sites, seed=seed_int, J=J)
-
-
-def _entropy_int(seq: np.random.SeedSequence) -> int:
-    ent = seq.entropy
-    if isinstance(ent, (tuple, list)):
-        # fold the (master, index) tuple into one reportable integer
-        return int(np.random.SeedSequence(entropy=tuple(ent)).generate_state(1, np.uint64)[0])
-    return int(ent)
+    return CouplingMatrix(model=model, sites=sites, J=J)
 
 
 def coupling_sum(J: np.ndarray) -> float:
     """S_J = sum of J_ij over i < j."""
     return float(np.triu(J, k=1).sum())
 
-
-def model_to_dict(model: Model) -> dict:
-    d: dict = {"name": model.name}
-    if isinstance(model, PowerLaw):
-        d["sigma"] = model.sigma
-    return d
-
-
-def model_from_dict(d: dict) -> Model:
-    name = d["name"]
-    if name == InfiniteRange.name:
-        return InfiniteRange()
-    if name == NearestNeighbour.name:
-        return NearestNeighbour()
-    if name == PowerLaw.name:
-        return PowerLaw(sigma=float(d["sigma"]))
-    raise ValueError(f"unknown model name {name!r}")

@@ -175,7 +175,7 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
     if first.size == 0:
         return out[:, 0] if squeeze else out
 
-    occupied = np.column_stack([basis.bit_column(i) for i in range(basis.sites)])
+    occupied = basis.occupancy()
     up_i, up_j = occupied[:, first], occupied[:, second]
     both_up = (up_i & up_j).astype(np.float64)
     both_down = (~(up_i | up_j)).astype(np.float64)

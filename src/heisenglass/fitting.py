@@ -14,7 +14,6 @@ unweighted answer exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,9 +129,6 @@ class FitResult:
             d[name] = float(value)
             d[name + "_stderr"] = float(err)
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def fit(

@@ -9,7 +9,11 @@ integer S(S+1) - M^2 + M: 0 for states annihilated by the lowering
 operator ("new", S = L/2 - m), at least L - 2m + 2 otherwise.  Every
 eigenvector of :func:`spectrum.diagonalize` lies in one total-spin
 block, so :func:`classify` needs one norm pass and checks each value
-against the integer of its block.
+against the integer of its block.  Since a value is either 0 or at
+least 1, the fixed threshold ``LADDER_TOL`` = 1/2 separates the labels.
+
+sigma^+ between adjacent sectors is one sparse 0/1 matrix, built in
+numpy from the rank arithmetic of :func:`basis.cleared_ranks`.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
-from .basis import SectorBasis, build_basis
+from .basis import SectorBasis, build_basis, cleared_ranks
 from .spectrum import Spectrum, SpectrumError
 
 LADDER_TOL = 0.5
@@ -36,32 +41,23 @@ class ZeroPromotionError(ValueError):
 class PromotionMap:
     """Unnormalized sigma^+ from the m-magnon to the (m+1)-magnon sector.
 
-    Both directions are stored as gather tables: ``parents[t, b]`` ranks
-    the t-th target pattern with its b-th set bit cleared, and
-    ``children[s, c]`` ranks the s-th source pattern with its c-th clear
-    bit set.  sigma^+ sums over parents, its adjoint sums over children.
+    ``raising`` is the 0/1 CSR matrix R (target dim x source dim) whose
+    row t has a one at each pattern that the t-th target pattern becomes
+    with one up spin cleared, lowest site first.  sigma^+ is R, its
+    adjoint sigma^- is R^T.
     """
 
     source: SectorBasis
     target: SectorBasis
-    parents: np.ndarray = field(repr=False)
-    children: np.ndarray = field(repr=False)
+    raising: sparse.csr_array = field(repr=False)
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         """Raw sigma^+ on source-sector coefficients (columns allowed)."""
-        a = np.asarray(coefficients, dtype=np.float64)
-        out = a[self.parents[:, 0]].astype(np.float64, copy=True)
-        for b in range(1, self.parents.shape[1]):
-            out += a[self.parents[:, b]]
-        return out
+        return self.raising @ np.asarray(coefficients, dtype=np.float64)
 
     def apply_adjoint(self, coefficients: np.ndarray) -> np.ndarray:
         """Raw sigma^- on target-sector coefficients (columns allowed)."""
-        a = np.asarray(coefficients, dtype=np.float64)
-        out = a[self.children[:, 0]].astype(np.float64, copy=True)
-        for c in range(1, self.children.shape[1]):
-            out += a[self.children[:, c]]
-        return out
+        return self.raising.T @ np.asarray(coefficients, dtype=np.float64)
 
 
 def promotion_map(source: SectorBasis, target: SectorBasis | None = None) -> PromotionMap:
@@ -69,26 +65,11 @@ def promotion_map(source: SectorBasis, target: SectorBasis | None = None) -> Pro
         target = build_basis(source.sites, source.magnons + 1)
     if target.sites != source.sites or target.magnons != source.magnons + 1:
         raise ValueError("target sector must have one more magnon on the same sites")
-
-    parents = np.empty((target.dim, target.magnons), dtype=np.int64)
-    for t, pattern in enumerate(target.states):
-        p = pattern
-        b = 0
-        while p:
-            low = p & -p
-            parents[t, b] = source.rank(pattern ^ low)
-            b += 1
-            p ^= low
-
-    children = np.empty((source.dim, source.sites - source.magnons), dtype=np.int64)
-    for s, pattern in enumerate(source.states):
-        c = 0
-        for i in range(source.sites):
-            bit = 1 << i
-            if not pattern & bit:
-                children[s, c] = target.rank(pattern | bit)
-                c += 1
-    return PromotionMap(source=source, target=target, parents=parents, children=children)
+    # every target pattern has m set bits, so row t holds entries m*t .. m*t + m-1
+    columns = cleared_ranks(target).ravel()
+    indptr = np.arange(0, columns.size + 1, target.magnons)
+    raising = sparse.csr_array((np.ones(columns.size), columns, indptr), shape=(target.dim, source.dim))
+    return PromotionMap(source=source, target=target, raising=raising)
 
 
 def promote(state, pmap: PromotionMap):
@@ -131,13 +112,13 @@ class Classification:
         return float(np.abs(self.ladder_eigenvalues - self.ladder_integers).max(initial=0.0))
 
 
-def classify(spectrum: Spectrum, pmap: PromotionMap, ladder_tol: float = LADDER_TOL) -> Classification:
+def classify(spectrum: Spectrum, pmap: PromotionMap) -> Classification:
     """Label each eigenstate by its sigma^+ sigma^- eigenvalue.
 
     Every eigenvector lies in one total-spin block, so no rotation inside
     degeneracy groups is needed: the value is the squared norm of
-    sigma^- |psi>, taken through the gather tables of ``pmap``, and a
-    state is promoted when it exceeds ``ladder_tol``.  Each value must
+    sigma^- |psi>, taken through the sparse matrix of ``pmap``, and a
+    state is promoted when it exceeds ``LADDER_TOL``.  Each value must
     match the integer S(S+1) - M^2 + M of the state's block to within
     1e-8 * max(1, integer); otherwise SpectrumError is raised, since the
     vector then mixes total spins or carries the wrong block label.
@@ -157,7 +138,7 @@ def classify(spectrum: Spectrum, pmap: PromotionMap, ladder_tol: float = LADDER_
             f"the integer of its spin block 2S={spectrum.two_s[k]}"
         )
     return Classification(
-        labels=np.where(values > ladder_tol, PROMOTED, NEW),
+        labels=np.where(values > LADDER_TOL, PROMOTED, NEW),
         ladder_eigenvalues=values,
         ladder_integers=integers,
     )

@@ -34,9 +34,6 @@ class SectorMatrix:
     def dim(self) -> int:
         return self.basis.dim
 
-    def coupling_sum(self) -> float:
-        return self.couplings.coupling_sum()
-
 
 def assemble(cm: CouplingMatrix, basis: SectorBasis) -> SectorMatrix:
     """Build the dense sector block of the swap-form Hamiltonian.
@@ -55,7 +52,7 @@ def assemble(cm: CouplingMatrix, basis: SectorBasis) -> SectorMatrix:
     spins = basis.spins()
     H[np.diag_indices(dim)] = 0.5 * np.einsum("ki,ij,kj->k", spins, cm.J, spins)
 
-    up = [basis.bit_column(i) for i in range(basis.sites)]
+    up = np.ascontiguousarray(basis.occupancy().T)
     for i in range(basis.sites):
         for j in range(i + 1, basis.sites):
             Jij = cm.J[i, j]

@@ -122,10 +122,24 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
         ["spectrum-report", "-L", "10", "--degtol", "nan"],
         ["spectrum-report", "-L", "10", "--degtol", "inf"],
         ["spectrum-report", "-L", "10", "--degtol", "-1"],
-        ["spectrum-report", "-L", "10", "--ladder-tol", "nan"],
-        ["spectrum-report", "-L", "10", "--ladder-tol", "inf"],
-        ["spectrum-report", "-L", "10", "--ladder-tol", "0"],
         ["phase-diagram", "-L", "10", "--sigmas", "0,nan"],
+        # options the run never reads, which the header would echo as used
+        ["spectrum-report", "-L", "6", "--pairs", "single"],
+        ["phase-diagram", "-L", "6", "--samples", "1", "--sigmas", "0", "--pairs", "single"],
+        ["scaling", "--target", "eigenstates", "--model", "nn", "-L", "8,9,10,11", "--samples", "2",
+         "--pairs", "single"],
+        ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "--samples", "2", "--zero-sum"],
+        ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "--samples", "2", "--degtol", "1e-6"],
+        ["scaling", "--target", "random", "-L", "8,12,16,24", "--samples", "100", "--degtol", "1e-6"],
+        ["phase-diagram", "-L", "6", "--samples", "1", "--sigmas", "0", "--model", "nn"],
+        ["phase-diagram", "-L", "6", "--samples", "1", "--sigmas", "0", "--sigma", "1"],
+        ["scaling", "--target", "random", "-L", "8,12,16,24", "--samples", "100", "--model", "nn"],
+        ["scaling", "--target", "random-promoted", "-L", "8,12,16,24", "--samples", "100", "--sigma", "1"],
+        ["spectrum-report", "-L", "6", "--sigma", "1"],
+        ["scaling", "--target", "eigenstates", "--model", "nn", "-L", "8,9,10,11", "--samples", "2",
+         "--sigma", "2"],
+        ["scaling", "--target", "random", "-L", "8,12,16,24", "--samples", "100", "-m", "3"],
+        ["scaling", "--target", "random-promoted", "-L", "8,12,16,24", "--samples", "100", "-m", "1"],
     ],
 )
 def test_bad_configuration_exits_two(argv, capsys):
@@ -265,16 +279,16 @@ def test_header_serializes_infinite_sigma():
 def test_eigenstate_sample_matches_job_wrapper():
     model = couplings.InfiniteRange()
     direct = cli.eigenstate_sample(model, 8, 2, 11, 0)
-    wrapped = cli._eigen_job((couplings.model_to_dict(model), 8, 2, 11, 0, None, ladder.LADDER_TOL))
+    wrapped = cli._eigen_job((model, 8, 2, 11, 0, None))
     assert all(np.array_equal(a, b) for a, b in zip(direct, wrapped))
     assert all(len(column) == 28 for column in direct)
     assert int(direct.promoted.sum()) == 8
 
 
-def test_promoted_count_mismatch_exits_one(tmp_path, capsys):
+def test_promoted_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
     # a threshold above every ladder value labels all 28 states new
-    rc = cli.main(["spectrum-report", "-L", "8", "-m", "2", "--ladder-tol", "1e9",
-                   "--out", str(tmp_path)])
+    monkeypatch.setattr(ladder, "LADDER_TOL", 1e9)
+    rc = cli.main(["spectrum-report", "-L", "8", "-m", "2", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "failure: sample 0" in err

@@ -78,16 +78,22 @@ def test_promoted_eigenstates_stay_eigenstates():
 
 
 def test_promotion_matrix_against_brute_force():
-    sites = 5
-    pmap = _promotion(sites, 1)
-    P = pmap.apply(np.eye(pmap.source.dim))
-    expected = np.zeros_like(P)
-    for t, pattern in enumerate(pmap.target.states):
-        for b in range(sites):
-            if (pattern >> b) & 1:
-                parent = pattern & ~(1 << b)
-                expected[t, pmap.source.rank(parent)] += 1.0
-    assert np.array_equal(P, expected)
+    # every sector up to L=10 (m-1 = 0, 2m > L, m = L) and a two-limb L=70 sector
+    sectors = [(sites, m) for sites in range(1, 11) for m in range(1, sites + 1)] + [(70, 2)]
+    for sites, m in sectors:
+        pmap = _promotion(sites, m - 1)
+        P = pmap.apply(np.eye(pmap.source.dim))
+        expected = np.zeros_like(P)
+        order = []  # parents of each target row, lowest cleared site first
+        for t, pattern in enumerate(pmap.target.states):
+            for b in range(sites):
+                if (pattern >> b) & 1:
+                    parent = pmap.source.rank(pattern & ~(1 << b))
+                    expected[t, parent] += 1.0
+                    order.append(parent)
+        assert np.array_equal(P, expected), (sites, m)
+        assert np.array_equal(pmap.apply_adjoint(np.eye(pmap.target.dim)), expected.T), (sites, m)
+        assert np.array_equal(pmap.raising.indices, order), (sites, m)
 
 
 def test_lower_promote_vacuum_roundtrip():
@@ -224,7 +230,7 @@ def test_labels_invariant_under_coupling_rescale():
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 10, 15)
     pmap = _promotion(10, 1)
     cls_a = ladder.classify(spectrum.diagonalize(sector.assemble(cm, pmap.target)), pmap)
-    scaled = couplings.CouplingMatrix(cm.model, cm.sites, cm.seed, 3.7 * cm.J)
+    scaled = couplings.CouplingMatrix(cm.model, cm.sites, 3.7 * cm.J)
     cls_b = ladder.classify(spectrum.diagonalize(sector.assemble(scaled, pmap.target)), pmap)
     assert np.array_equal(cls_a.labels, cls_b.labels)
 

@@ -14,7 +14,7 @@ def _matrix(model, sites, magnons, seed):
 
 def _coupling_with(J):
     sites = J.shape[0]
-    return couplings.CouplingMatrix(model=couplings.InfiniteRange(), sites=sites, seed=0, J=J)
+    return couplings.CouplingMatrix(model=couplings.InfiniteRange(), sites=sites, J=J)
 
 
 def test_two_spin_block():

@@ -13,7 +13,7 @@ def _sector(model, sites, magnons, seed):
 
 def test_two_spin_eigenvalues():
     J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, 0, J)
+    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, J)
     spec = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(2, 1)))
     assert np.allclose(spec.eigenvalues, [-3.0, 1.0], atol=1e-12)
 
@@ -31,7 +31,7 @@ def test_all_one_vector_is_eigenvector():
 def test_matches_jacobi_oracle_on_random_symmetric():
     rng = np.random.Generator(np.random.Philox(5))
     J = np.triu(rng.standard_normal((4, 4)), 1)
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 4, 0, J + J.T)
+    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 4, J + J.T)
     sm = sector.assemble(cm, basis.build_basis(4, 2))
     spec = spectrum.diagonalize(sm)
     assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix)).max() <= 1e-10
@@ -81,7 +81,7 @@ def test_group_degeneracies_simple():
 
 def test_triplet_grouping():
     J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, 0, J)
+    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, J)
     evals = np.sort(np.linalg.eigvalsh(sector.full_space_oracle(cm)))
     groups = spectrum.group_degeneracies(evals, 1e-8)
     assert groups == [(0, 1), (1, 4)]
