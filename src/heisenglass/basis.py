@@ -11,12 +11,11 @@ blocks of fixed total spin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
 
-# Dense sector matrices get allocated downstream; keep dimensions sane.
+# Dense dim x dim eigenvector matrices get allocated downstream; keep dimensions sane.
 DEFAULT_MAX_DIM = 200_000
 
 
@@ -50,6 +49,21 @@ class SectorBasis:
         sites = np.arange(self.sites, dtype=np.uint64)
         return (self.words[:, sites // np.uint64(64)] >> (sites % np.uint64(64))) & np.uint64(1) != 0
 
+    def swap_rows(self, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the (i up, j down) and (i down, j up) states of each site pair.
+
+        Pair p is (first[p], second[p]).  Both results are (n_pairs,
+        C(L-2, m-1)) arrays, and row t of ``ud[p]`` swaps into row t of
+        ``du[p]``: the swap adds the constant 2^j - 2^i to the pattern, so
+        it keeps ascending order between the two groups.
+        """
+        occupied = self.occupancy()
+        up_i, up_j = occupied[:, first], occupied[:, second]
+        width = comb(self.sites - 2, self.magnons - 1) if 0 < self.magnons < self.sites else 0
+        ud = np.nonzero((up_i & ~up_j).T)[1].reshape(len(first), width)
+        du = np.nonzero((~up_i & up_j).T)[1].reshape(len(first), width)
+        return ud, du
+
     def spins(self) -> np.ndarray:
         """(dim, L) array of +-1 spin values, +1 for up."""
         return np.where(self.occupancy(), 1.0, -1.0)
@@ -72,17 +86,28 @@ def build_basis(sites: int, magnons: int) -> SectorBasis:
     if dim > DEFAULT_MAX_DIM:
         raise ValueError(f"sector dimension {dim} exceeds budget {DEFAULT_MAX_DIM}")
 
-    # combinations() yields ascending site tuples in lexicographic order;
-    # packing them little-endian gives ascending integers.
-    states = [sum(1 << s for s in combo) for combo in combinations(range(sites), magnons)]
-    states.sort()
+    # Ascending integers are the colex order of the set-site tuples, and the
+    # colex list of k-subsets of range(p) is the first C(p, k) rows of that
+    # of any larger range: append each top site p to those rows, p ascending.
+    # Level k holds the k-subsets of range(L - m + k), the only ones extended.
+    positions = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, magnons + 1):
+        tops = range(k - 1, sites - magnons + k)
+        counts = np.array([comb(p, k - 1) for p in tops], dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        rows = np.arange(counts.sum()) - np.repeat(starts, counts)
+        positions = np.column_stack([positions[rows], np.repeat(np.array(tops), counts)])
 
     n_words = (sites + 63) // 64
-    words = np.zeros((dim, n_words), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for k, pattern in enumerate(states):
-        for w in range(n_words):
-            words[k, w] = (pattern >> (64 * w)) & mask
+    limb, bit = np.divmod(positions, 64)
+    bits = np.left_shift(np.uint64(1), bit.astype(np.uint64))
+    words = np.stack(
+        [np.bitwise_or.reduce(np.where(limb == w, bits, np.uint64(0)), axis=1) for w in range(n_words)], axis=1
+    )
+    values = words[:, -1].astype(object)
+    for w in range(n_words - 2, -1, -1):
+        values = (values << 64) | words[:, w].astype(object)
+    states = values.tolist()
     return SectorBasis(sites, magnons, states, words)
 
 

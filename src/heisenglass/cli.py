@@ -535,21 +535,40 @@ def _check_unread_options(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{run} does not read {option}; leave it at its default")
 
 
+# cgroup v2, then v1: the memory limit of the container the run is in
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _cgroup_memory_limit() -> int | None:
+    """The first numeric cgroup memory limit in bytes; None when every file is absent or "max"."""
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            text = Path(path).read_text().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            return int(text)
+    return None
+
+
 def _check_sector(sites: int, magnons: int, workers: int) -> None:
-    """Reject an empty sector, or one whose dense solves do not fit in memory.
+    """Reject an empty sector, or one whose solves do not fit in memory.
 
     ``workers`` is the pool size that will run; each worker holds its own
-    solve, of at most ``spectrum.DENSE_COPIES`` dim x dim float64 arrays.
+    solve, of at most ``spectrum.solve_bytes`` bytes.  The memory is the
+    smaller of the physical memory and a cgroup limit.
     """
     if not 1 <= magnons < sites:
         raise ConfigError(f"need 1 <= m < L, got m={magnons} L={sites}")
-    dim = math.comb(sites, magnons)
-    need = dim * dim * 8 * spectrum.DENSE_COPIES * workers
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = spectrum.solve_bytes(sites, magnons) * workers
+    have, source = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    limit = _cgroup_memory_limit()
+    if limit is not None and limit < have:
+        have, source = limit, "cgroup memory limit"
     if need > have:
         raise ConfigError(
-            f"sector dimension C({sites},{magnons}) = {dim} needs {need / 2**30:.3g} GiB of dense "
-            f"matrices with {workers} worker(s), more than the {have / 2**30:.3g} GiB of physical memory"
+            f"sector dimension C({sites},{magnons}) = {math.comb(sites, magnons)} needs {need / 2**30:.3g} GiB "
+            f"with {workers} worker(s), more than the {have / 2**30:.3g} GiB of {source}"
         )
 
 

@@ -179,10 +179,7 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
     up_i, up_j = occupied[:, first], occupied[:, second]
     both_up = (up_i & up_j).astype(np.float64)
     both_down = (~(up_i | up_j)).astype(np.float64)
-    # Row t of ud[p] (i up, j down) swaps into row t of du[p]: the swap
-    # adds the constant 2^j - 2^i, so it keeps ascending order.
-    ud = np.nonzero((up_i & ~up_j).T)[1].reshape(first.size, -1)
-    du = np.nonzero((~up_i & up_j).T)[1].reshape(first.size, -1)
+    ud, du = basis.swap_rows(first, second)
 
     for lo in range(0, n_states, _COLUMN_CHUNK):
         block = np.ascontiguousarray(a[:, lo : lo + _COLUMN_CHUNK])

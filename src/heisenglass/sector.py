@@ -2,7 +2,8 @@
 
 H = sum_{i<j} J_ij sigma_i . sigma_j commutes with the total z
 magnetization, so it is block diagonal over the bases of
-:mod:`heisenglass.basis`.  Writing sigma_i . sigma_j = 2 S_ij - 1 with
+:mod:`heisenglass.basis`; each block is stored as a sparse CSR matrix,
+m(L-m)+1 entries per row at most.  Writing sigma_i . sigma_j = 2 S_ij - 1 with
 S_ij the spin swap gives the matrix elements directly:
 
 * diagonal:  sum_{i<j} J_ij s_i s_j with s = +-1,
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .basis import SectorBasis
 from .couplings import CouplingMatrix, coupling_sum
@@ -24,11 +26,11 @@ FULL_SPACE_MAX_SITES = 12
 
 @dataclass
 class SectorMatrix:
-    """Dense symmetric sector block together with its ingredients."""
+    """Sparse symmetric sector block (CSR) together with its ingredients."""
 
     basis: SectorBasis
     couplings: CouplingMatrix
-    matrix: np.ndarray
+    matrix: sparse.csr_array
 
     @property
     def dim(self) -> int:
@@ -36,32 +38,28 @@ class SectorMatrix:
 
 
 def assemble(cm: CouplingMatrix, basis: SectorBasis) -> SectorMatrix:
-    """Build the dense sector block of the swap-form Hamiltonian.
+    """Build the sector block of the swap-form Hamiltonian as a CSR matrix.
 
-    For each site pair the states with (i up, j down) and (j up, i down)
-    both list in ascending pattern order, and the swap adds the constant
-    2^j - 2^i to every pattern of the first group, which preserves
-    order.  The two groups therefore pair up elementwise and the
-    off-diagonal fill needs no rank lookups.
+    Every diagonal entry is stored.  Each coupled pair (J_ij != 0) adds
+    2 J_ij between its (i up, j down) rows and their swap partners, the
+    (i down, j up) rows, in both triangles: C(L-2, m-1) entries per
+    triangle, with no rank lookups (see :meth:`SectorBasis.swap_rows`).
+    Uncoupled pairs store nothing.
     """
     if cm.sites != basis.sites:
         raise ValueError(f"couplings for {cm.sites} sites, basis has {basis.sites}")
     dim = basis.dim
-    H = np.zeros((dim, dim), dtype=np.float64)
-
     spins = basis.spins()
-    H[np.diag_indices(dim)] = 0.5 * np.einsum("ki,ij,kj->k", spins, cm.J, spins)
+    diagonal = 0.5 * np.einsum("ki,ij,kj->k", spins, cm.J, spins)
 
-    up = np.ascontiguousarray(basis.occupancy().T)
-    for i in range(basis.sites):
-        for j in range(i + 1, basis.sites):
-            Jij = cm.J[i, j]
-            if Jij == 0.0:
-                continue
-            ud = np.flatnonzero(up[i] & ~up[j])
-            du = np.flatnonzero(~up[i] & up[j])
-            H[ud, du] = 2.0 * Jij
-            H[du, ud] = 2.0 * Jij
+    first, second = np.nonzero(np.triu(cm.J, 1))
+    ud, du = basis.swap_rows(first, second)
+    hop = np.repeat(2.0 * cm.J[first, second], ud.shape[1])
+    ud, du = ud.ravel(), du.ravel()
+    index = np.arange(dim)
+    rows = np.concatenate([index, ud, du])
+    cols = np.concatenate([index, du, ud])
+    H = sparse.csr_array((np.concatenate([diagonal, hop, hop]), (rows, cols)), shape=(dim, dim))
     return SectorMatrix(basis=basis, couplings=cm, matrix=H)
 
 

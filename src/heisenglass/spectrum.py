@@ -3,18 +3,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from . import basis
 from .sector import SectorMatrix
 
 
-# Peak number of dim x dim float64 arrays alive in diagonalize, reached
-# when one spin block spans nearly the whole sector (m = 1, 2): H, the
-# blocks Q, H Q, A = Q^T H Q, and inside np.linalg.eigh its copy of A,
-# a workspace of two more and the eigenvectors X.
-DENSE_COPIES = 8
+# Pages a solve touches beyond its arrays: BLAS/LAPACK buffers and allocator
+# bookkeeping, seen at up to 6 MiB above the array count.
+_LIBRARY_BYTES = 16 * 2**20
+
+
+def solve_bytes(sites: int, magnons: int) -> int:
+    """Upper estimate of the bytes one sample's solve adds above its sparse input.
+
+    Counts, in float64 words, the largest set of arrays alive at once in
+    each phase of :func:`diagonalize` and the classification after it,
+    with dim = C(L, m) and d the widest spin block:
+
+    * spin-block build: the dim^2 of blocks next to both parent sectors';
+    * block solve: the blocks (or the V_S replacing them), H Q_S and
+      inside eigh the matrix A, its copy, a 2 d^2 workspace and X; or,
+      after eigh, H Q_S, V_S and H V_S next to X;
+    * merge and Gram check: the merged copy next to the blocks and |V_S|,
+      then next to V^T V;
+    * classification: the eigenvectors and their sigma^- image.
+
+    One more dim^2 covers freed blocks the allocator keeps, and a fixed
+    16 MiB the library buffers.
+    """
+    dim = comb(sites, magnons)
+    d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
+    words = max(
+        dim * dim + comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
+        dim * dim + dim * d + 5 * d * d,
+        dim * dim + 2 * dim * d + d * d,
+        2 * dim * dim + dim * d,
+        dim * dim + comb(sites, magnons - 1) * dim,
+    )
+    return 8 * (words + dim * dim) + _LIBRARY_BYTES
 
 
 class SpectrumError(RuntimeError):
@@ -52,7 +82,7 @@ class Spectrum:
 
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the largest-|.| entry is positive.
+    """Flip eigenvector columns in place so the largest-|.| entry is positive.
 
     Ties resolve to the lowest index via argmax, so the convention is
     deterministic.
@@ -60,7 +90,8 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     idx = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return vectors
 
 
 def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int, int]]:
@@ -77,29 +108,26 @@ def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int
     return groups
 
 
-def default_degtol(matrix: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.linalg.norm(matrix)))
-
-
 def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-10) -> Spectrum:
-    """Eigensolve a Heisenberg sector block one total spin at a time.
+    """Eigensolve a sparse Heisenberg sector block one total spin at a time.
 
-    ``sm.matrix`` must commute with the total spin, as every sector
-    block of sum_{i<j} J_ij sigma_i . sigma_j does.  For each spin-S
-    block Q_S of :func:`basis.total_spin_blocks` it solves the small
+    ``sm.matrix`` is a canonical CSR matrix that must commute with the
+    total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
+    does.  For each spin-S block Q_S of :func:`basis.total_spin_blocks`
+    it forms the sparse-times-dense product H Q_S, solves the small
     problem A = Q_S^T (H Q_S) with LAPACK and returns V_S = Q_S X_S; the
-    blocks merge ascending by a stable sort.  The residual of every
-    returned column is formed from (H Q_S) X_S, which by associativity
-    is H V_S, so no further dim^3 product is needed.
+    blocks merge ascending by a stable sort.  No dense dim x dim copy of
+    H is made.  The residual of every returned column is formed from
+    (H Q_S) X_S, which by associativity is H V_S.
 
-    Raises SpectrumError for a non-finite matrix, an eigenpair residual
-    above rtol * ||H||_F (which is what a matrix without SU(2) symmetry
-    produces), eigenvectors that are not orthonormal, or an eigenvalue
-    sum that disagrees with the trace, instead of returning a silently
-    bad decomposition.
+    Raises SpectrumError for a non-finite stored entry, an eigenpair
+    residual above rtol * ||H||_F (which is what a matrix without SU(2)
+    symmetry, or an asymmetric one, produces), eigenvectors that are not
+    orthonormal, or an eigenvalue sum that disagrees with the trace,
+    instead of returning a silently bad decomposition.
     """
     H = sm.matrix
-    if not np.isfinite(H).all():
+    if not np.isfinite(H.data).all():
         raise SpectrumError("sector matrix has non-finite entries")
     blocks = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
     keys = list(blocks)
@@ -113,13 +141,13 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     two_s = np.repeat(keys, [w.size for w, _, _ in solved])[order]
     residual = np.concatenate([r for _, _, r in solved])
 
-    scale = max(1.0, float(np.linalg.norm(H)))
+    scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
     worst = float(residual.max(initial=0.0))
     if not worst <= rtol * scale:
         raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {rtol:.1e} * ||H||_F")
 
     # each block is dropped once placed, so blocks and merged copy never coexist in full
-    vectors = np.empty_like(H)
+    vectors = np.empty((sm.dim, sm.dim))
     start = 0
     while solved:
         V = solved.pop(0)[1]
@@ -130,12 +158,12 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     ortho = float(np.abs(gram, out=gram).max(initial=0.0))
     if not ortho <= 1e-10:
         raise SpectrumError(f"eigenvectors not orthonormal, deviation {ortho:.3e}")
-    tr = float(np.trace(H))
+    tr = float(H.diagonal().sum())
     if not abs(evals.sum() - tr) <= 1e-9 * max(1.0, abs(tr)):
         raise SpectrumError("eigenvalue sum disagrees with trace")
 
     if degtol is None:
-        degtol = default_degtol(H)
+        degtol = 1e-8 * scale
     return Spectrum(
         matrix=sm,
         eigenvalues=evals,
@@ -146,7 +174,7 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     )
 
 
-def _solve_block(H: np.ndarray, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors V = Q X and residual norms |H V - V w| of one spin block."""
     HQ = H @ Q
     try:
@@ -154,10 +182,10 @@ def _solve_block(H: np.ndarray, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, 
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
     V = Q @ X
-    del Q  # each del keeps the peak within DENSE_COPIES
+    del Q  # each del lowers the peak that solve_bytes budgets
     HV = HQ @ X  # = H V by associativity
+    HV -= np.multiply(V, w, out=HQ)
     del HQ
-    HV -= V * w
     return w, V, np.linalg.norm(HV, axis=0)
 
 

@@ -77,7 +77,7 @@ def _check_sector_oracle() -> CheckResult:
     for m in range(7):
         b = basis.build_basis(6, m)
         block = sector.sector_of_full_space(full, b)
-        worst = max(worst, float(np.abs(sector.assemble(cm, b).matrix - block).max(initial=0.0)))
+        worst = max(worst, float(np.abs(sector.assemble(cm, b).matrix.toarray() - block).max(initial=0.0)))
     pops = np.array([bin(n).count("1") for n in range(64)])
     off = np.abs(full[pops[:, None] != pops[None, :]]).max(initial=0.0)
     ok = worst <= 1e-12 and off == 0.0
@@ -97,8 +97,8 @@ def _check_promotion_commutes() -> CheckResult:
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 5)
     b1, b2 = basis.build_basis(8, 1), basis.build_basis(8, 2)
     pm = ladder.promotion_map(b1, b2)
-    H1 = sector.assemble(cm, b1).matrix
-    H2 = sector.assemble(cm, b2).matrix
+    H1 = sector.assemble(cm, b1).matrix.toarray()
+    H2 = sector.assemble(cm, b2).matrix.toarray()
     P = pm.apply(np.eye(b1.dim))
     resid = float(np.abs(H2 @ P - P @ H1).max(initial=0.0))
     s1 = spectrum.diagonalize(sector.assemble(cm, b1))
@@ -207,7 +207,7 @@ def _check_jacobi() -> CheckResult:
     cm = couplings.sample_couplings(couplings.PowerLaw(1.0), 6, 17)
     sm = sector.assemble(cm, basis.build_basis(6, 2))
     spec = spectrum.diagonalize(sm)
-    dev = float(np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix)).max(initial=0.0))
+    dev = float(np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max(initial=0.0))
     return ("eigensolver-jacobi", dev <= 1e-10, f"max eigenvalue deviation {dev:.2e}")
 
 
@@ -224,7 +224,7 @@ def _check_total_spin_blocks() -> CheckResult:
         value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) // 4
         ladder_dev = max(ladder_dev, float(np.abs(pm.apply(pm.apply_adjoint(q)) - value * q).max(initial=0.0)))
     cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 23)
-    H = sector.assemble(cm, pm.target).matrix
+    H = sector.assemble(cm, pm.target).matrix.toarray()
     projected = Q.T @ H @ Q
     start = 0
     for q in blocks.values():

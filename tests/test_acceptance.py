@@ -50,7 +50,7 @@ def test_criterion_01_sector_blocks_match_full_oracle():
             for m in range(L + 1):
                 b = basis.build_basis(L, m)
                 block = sector.sector_of_full_space(full, b)
-                dev = np.abs(sector.assemble(cm, b).matrix - block).max(initial=0.0)
+                dev = np.abs(sector.assemble(cm, b).matrix.toarray() - block).max(initial=0.0)
                 worst_block = max(worst_block, float(dev))
     ok = worst_block <= 1e-12 and worst_off == 0.0
     _criterion(1, "sector blocks equal the full-space oracle", ok,
@@ -77,7 +77,7 @@ def test_criterion_03_promotion_preserves_eigenpairs():
         for seed in (0, 1):
             cm = couplings.sample_couplings(couplings.InfiniteRange(), L, seed)
             pmap = ladder.promotion_map(basis.build_basis(L, 1), basis.build_basis(L, 2))
-            H2 = sector.assemble(cm, pmap.target).matrix
+            H2 = sector.assemble(cm, pmap.target).matrix.toarray()
             s1 = spectrum.diagonalize(sector.assemble(cm, pmap.source))
             s2 = spectrum.diagonalize(sector.assemble(cm, pmap.target))
             for k in range(s1.dim):

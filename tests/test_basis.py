@@ -100,17 +100,31 @@ def test_spins_row_sums():
 
 def test_pair_partners_against_brute_scan():
     # the (i up, j down) rows of a pair line up with their swap partners,
-    # which the coherence z of the concurrence kernels relies on
-    sites, magnons = 8, 3
-    b = basis.build_basis(sites, magnons)
-    total = 0
-    for i in range(sites):
-        for j in range(i + 1, sites):
+    # which the sector assembly and the concurrence kernels rely on
+    for sites, magnons in ((8, 3), (8, 0), (8, 8), (9, 8)):
+        b = basis.build_basis(sites, magnons)
+        first, second = np.triu_indices(sites, k=1)
+        ud_all, du_all = b.swap_rows(first, second)
+        total = 0
+        for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
             _, ud, du, _ = entanglement._pair_groups(b, i, j)
-            brute = oracles.brute_pair_partners(b.states, i, j)
-            assert list(zip(ud.tolist(), du.tolist())) == sorted(brute)
+            brute = sorted(oracles.brute_pair_partners(b.states, i, j))
+            assert list(zip(ud.tolist(), du.tolist())) == brute
+            assert list(zip(ud_all[p].tolist(), du_all[p].tolist())) == brute
             total += len(brute)
-    assert total == comb(sites, 2) * comb(sites - 2, magnons - 1)
+        width = comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0
+        assert ud_all.shape == du_all.shape == (first.size, width)
+        assert total == comb(sites, 2) * width
+
+
+def test_build_basis_matches_itertools_enumeration():
+    sectors = [(L, m) for L in range(1, 11) for m in range(L + 1)] + [(70, 2)]
+    for sites, magnons in sectors:
+        b = basis.build_basis(sites, magnons)
+        states, words = oracles.enumerate_patterns(sites, magnons)
+        assert all(type(s) is int for s in b.states)
+        assert np.array_equal(np.array(b.states, dtype=object), np.array(states, dtype=object))
+        assert b.words.dtype == np.uint64 and np.array_equal(b.words, words)
 
 
 # sectors with L <= 12, including 2m = L and 2m > L
@@ -150,7 +164,7 @@ def test_total_spin_blocks_are_ladder_eigenspaces(sector_lm):
 def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
     sites, magnons = sector_lm
     cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, seed)
-    H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix
+    H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix.toarray()
     blocks = list(basis.total_spin_blocks(sites, magnons).values())
     for a, qa in enumerate(blocks):
         for qb in blocks[a + 1 :]:

@@ -167,8 +167,9 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
         raise AssertionError("validation must reject the run before any allocation")
 
     monkeypatch.setattr(couplings, "sample_couplings", no_sampling)
-    # L=13, m=6: 1716^2 * 8 bytes * DENSE_COPIES per worker; room for one worker, not two
-    per_worker = 1716**2 * 8 * spectrum.DENSE_COPIES
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (str(tmp_path / "absent"),))  # no cgroup limit
+    # L=13, m=6: room for one worker's solve, not two
+    per_worker = spectrum.solve_bytes(13, 6)
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (3 * per_worker // 2) // 4096}
     monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
@@ -187,6 +188,37 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=2, workers=2))
     assert not (tmp_path / "out").exists()
+    # the half-filled L=16 sector (dim 12870) fits one worker in 7.8 GiB; eight dense
+    # dim^2 copies per worker would need 9.9 GiB
+    memory["SC_PHYS_PAGES"] = int(7.8 * 2**30) // 4096
+    cli.config_from_args(cli.build_parser().parse_args(  # validates
+        ["spectrum-report", "-L", "16", "-m", "8", "--workers", "1", "--out", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("files,limited", [
+    ({"memory.max": "max\n"}, False),
+    ({"memory.max": "1073741824\n"}, True),
+    ({"memory.limit_in_bytes": "1073741824\n"}, True),
+    ({"memory.limit_in_bytes": "9223372036854771712\n"}, False),
+    ({}, False),
+])
+def test_sector_budget_honours_cgroup_limit(tmp_path, monkeypatch, capsys, files, limited):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS",
+                        (str(tmp_path / "memory.max"), str(tmp_path / "memory.limit_in_bytes")))
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)  # 8 GiB
+    # L=14, m=7 needs about 0.3 GiB per worker: two fit in 8 GiB, not in a 1 GiB limit
+    assert 2 * spectrum.solve_bytes(14, 7) < 2**30 < 4 * spectrum.solve_bytes(14, 7)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    argv = ["spectrum-report", "-L", "14", "-m", "7", "--samples", "4", "--workers", "4",
+            "--out", str(tmp_path / "out")]
+    if limited:
+        assert cli.main(argv) == 2
+        assert "cgroup memory limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        cli.config_from_args(cli.build_parser().parse_args(argv))  # validates
 
 
 def test_stream_key_mismatch_exits_one(tmp_path, monkeypatch, capsys):

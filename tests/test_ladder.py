@@ -68,8 +68,8 @@ def test_promoted_eigenstates_stay_eigenstates():
     sites = 8
     cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, 5)
     pmap = _promotion(sites, 1)
-    H1 = sector.assemble(cm, pmap.source).matrix
-    H2 = sector.assemble(cm, pmap.target).matrix
+    H1 = sector.assemble(cm, pmap.source).matrix.toarray()
+    H2 = sector.assemble(cm, pmap.target).matrix.toarray()
     s1 = spectrum.diagonalize(sector.assemble(cm, pmap.source))
     for k in range(s1.dim):
         phi = pmap.apply(s1.vectors[:, k])
@@ -122,8 +122,8 @@ def test_commutes_with_hamiltonian_on_random_vectors():
     rng = np.random.Generator(np.random.Philox(13))
     for magnons in (1, 2):
         pmap = _promotion(sites, magnons)
-        H_lo = sector.assemble(cm, pmap.source).matrix
-        H_hi = sector.assemble(cm, pmap.target).matrix
+        H_lo = sector.assemble(cm, pmap.source).matrix.toarray()
+        H_hi = sector.assemble(cm, pmap.target).matrix.toarray()
         psi = rng.standard_normal(pmap.source.dim)
         assert np.linalg.norm(H_hi @ pmap.apply(psi) - pmap.apply(H_lo @ psi)) <= 1e-9
 

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from heisenglass import basis, couplings, sector
@@ -21,8 +22,8 @@ def test_two_spin_block():
     c = 0.7
     J = np.array([[0.0, c], [c, 0.0]])
     sm = sector.assemble(_coupling_with(J), basis.build_basis(2, 1))
-    assert np.array_equal(sm.matrix, np.array([[-c, 2 * c], [2 * c, -c]]))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(sm.matrix)), [-3 * c, c])
+    assert np.array_equal(sm.matrix.toarray(), np.array([[-c, 2 * c], [2 * c, -c]]))
+    assert np.allclose(np.sort(np.linalg.eigvalsh(sm.matrix.toarray())), [-3 * c, c])
 
 
 def test_full_oracle_singlet_triplet():
@@ -39,7 +40,7 @@ def test_sector_equals_full_space_projection(sites, seed):
     for magnons in range(sites + 1):
         b = basis.build_basis(sites, magnons)
         block = sector.sector_of_full_space(full, b)
-        assert np.abs(sector.assemble(cm, b).matrix - block).max() <= 1e-12
+        assert np.abs(sector.assemble(cm, b).matrix.toarray() - block).max() <= 1e-12
 
 
 def test_full_oracle_block_diagonal():
@@ -54,7 +55,7 @@ def test_full_oracle_trace_splits_over_sectors():
     cm = couplings.sample_couplings(couplings.NearestNeighbour(), 7, 9)
     full = sector.full_space_oracle(cm)
     by_sector = sum(
-        np.trace(sector.assemble(cm, basis.build_basis(7, m)).matrix) for m in range(8)
+        np.trace(sector.assemble(cm, basis.build_basis(7, m)).matrix.toarray()) for m in range(8)
     )
     assert np.trace(full) == pytest.approx(by_sector, abs=1e-10)
 
@@ -76,7 +77,7 @@ def test_matrix_element_rule():
     sites, magnons = 5, 2
     cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, 3)
     b = basis.build_basis(sites, magnons)
-    H = sector.assemble(cm, b).matrix
+    H = sector.assemble(cm, b).matrix.toarray()
 
     expected = np.zeros_like(H)
     for k, s in enumerate(b.states):
@@ -95,7 +96,7 @@ def test_all_one_eigenstate_all_models():
     for model in (couplings.InfiniteRange(), couplings.NearestNeighbour(), couplings.PowerLaw(2.0)):
         for magnons in (1, 2, 3):
             cm, sm = _matrix(model, 10, magnons, 7)
-            assert sector.all_up_residual(sm) <= 1e-12 * max(1.0, np.abs(sm.matrix).max())
+            assert sector.all_up_residual(sm) <= 1e-12 * max(1.0, np.abs(sm.matrix.toarray()).max())
 
 
 def test_trace_identity():
@@ -103,13 +104,13 @@ def test_trace_identity():
     b = sm.basis
     spins = b.spins()
     direct = 0.5 * np.einsum("ki,ij,kj->", spins, cm.J, spins)
-    assert np.trace(sm.matrix) == pytest.approx(direct, rel=1e-12)
+    assert np.trace(sm.matrix.toarray()) == pytest.approx(direct, rel=1e-12)
 
 
 def test_sector_spectrum_containment():
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 21)
     spectra = [
-        np.linalg.eigvalsh(sector.assemble(cm, basis.build_basis(8, m)).matrix) for m in range(5)
+        np.linalg.eigvalsh(sector.assemble(cm, basis.build_basis(8, m)).matrix.toarray()) for m in range(5)
     ]
     for m in range(4):
         inner, outer = spectra[m], list(spectra[m + 1])
@@ -129,9 +130,8 @@ def test_diagonal_dominance_statistics():
     diag, off = [], []
     for seed in range(200):
         cm, sm = _matrix(couplings.InfiniteRange(), sites, 1, seed)
-        diag.append(np.diag(sm.matrix))
-        upper = np.triu(sm.matrix, k=1)
-        off.append(upper[np.nonzero(upper)])
+        diag.append(sm.matrix.diagonal())
+        off.append(sparse.triu(sm.matrix, k=1).data)
     var_diag = np.concatenate(diag).var()
     var_off = np.concatenate(off).var()
 
@@ -141,3 +141,19 @@ def test_diagonal_dominance_statistics():
     ratio = var_diag / var_off
     expected_ratio = comb(sites, 2) / 4.0
     assert abs(ratio - expected_ratio) / expected_ratio < 0.10
+
+
+@pytest.mark.parametrize("model", [couplings.InfiniteRange(), couplings.NearestNeighbour()])
+@pytest.mark.parametrize("sites,magnons", [(10, 1), (12, 5), (16, 3), (70, 2)])
+def test_sparse_block_stores_only_coupled_swaps(model, sites, magnons):
+    cm, sm = _matrix(model, sites, magnons, 4)
+    H = sm.matrix
+    assert isinstance(H, sparse.csr_array) and H.has_canonical_format
+    # every diagonal entry, and each coupled pair's C(L-2, m-1) swaps in both triangles
+    pairs = int(np.count_nonzero(np.triu(cm.J, 1)))
+    assert pairs == (comb(sites, 2) if isinstance(model, couplings.InfiniteRange) else sites)
+    assert H.nnz == sm.dim + 2 * pairs * comb(sites - 2, magnons - 1)
+    off = sparse.triu(H, k=1).data
+    assert off.size == pairs * comb(sites - 2, magnons - 1)
+    assert np.all(off != 0.0)  # no explicit zeros from uncoupled pairs
+    assert (H != H.T).nnz == 0

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from heisenglass import basis, couplings, sector, spectrum
@@ -34,16 +40,24 @@ def test_matches_jacobi_oracle_on_random_symmetric():
     cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 4, J + J.T)
     sm = sector.assemble(cm, basis.build_basis(4, 2))
     spec = spectrum.diagonalize(sm)
-    assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix)).max() <= 1e-10
+    assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max() <= 1e-10
 
 
 def test_rejects_symmetric_matrix_without_su2_symmetry():
     rng = np.random.Generator(np.random.Philox(5))
     M = rng.standard_normal((6, 6))
     cm, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
-    sm = sector.SectorMatrix(basis=sm.basis, couplings=cm, matrix=0.5 * (M + M.T))
+    sm = sector.SectorMatrix(basis=sm.basis, couplings=cm, matrix=sparse.csr_array(0.5 * (M + M.T)))
     with pytest.raises(spectrum.SpectrumError, match="residual"):
         spectrum.diagonalize(sm)
+
+
+@pytest.mark.parametrize("triangle", [sparse.triu, sparse.tril])
+def test_rejects_sector_block_missing_one_triangle(triangle):
+    _, sm = _sector(couplings.InfiniteRange(), 8, 3, 1)
+    half = sector.SectorMatrix(basis=sm.basis, couplings=sm.couplings, matrix=sparse.csr_array(triangle(sm.matrix)))
+    with pytest.raises(spectrum.SpectrumError, match="residual"):
+        spectrum.diagonalize(half)
 
 
 def test_sign_convention_and_determinism():
@@ -59,7 +73,7 @@ def test_sign_convention_and_determinism():
 def test_eigensolver_postconditions():
     _, sm = _sector(couplings.NearestNeighbour(), 10, 3, 2)
     spec = spectrum.diagonalize(sm)
-    H = sm.matrix
+    H = sm.matrix.toarray()
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(spec.dim)).max() <= 1e-10
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(H), rel=1e-9)
@@ -67,9 +81,10 @@ def test_eigensolver_postconditions():
 
 
 def test_nonfinite_input_raises():
-    for sites, magnons, bad in ((6, 2, np.nan), (10, 2, np.nan), (10, 2, np.inf)):
+    # stored entry 0 is the diagonal H[0, 0]; the last one is off the diagonal
+    for sites, magnons, bad, entry in ((6, 2, np.nan, 0), (10, 2, np.nan, -1), (10, 2, np.inf, 0)):
         _, sm = _sector(couplings.InfiniteRange(), sites, magnons, 0)
-        sm.matrix[0, 0] = bad
+        sm.matrix.data[entry] = bad
         with pytest.raises(spectrum.SpectrumError):
             spectrum.diagonalize(sm)
 
@@ -142,3 +157,37 @@ def test_fix_signs_zero_safe():
     v = np.array([[0.0, -1.0], [0.0, 0.5]])
     fixed = spectrum.fix_signs(v.copy())
     assert np.array_equal(fixed[:, 1], [1.0, -0.5])
+
+
+_PEAK_SCRIPT = """
+import sys
+from heisenglass import basis, couplings, sector, spectrum
+
+def status_kib(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+def solve(L, m):
+    cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 0)
+    return sector.assemble(cm, basis.build_basis(L, m))
+
+spectrum.diagonalize(solve(6, 3))  # first calls into BLAS, LAPACK and scipy.sparse
+sm = solve(int(sys.argv[1]), int(sys.argv[2]))
+before = status_kib("VmRSS")
+spectrum.diagonalize(sm)
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
+@pytest.mark.parametrize("sites,magnons", [(60, 2), (25, 2), (16, 3), (13, 6), (14, 7)])
+def test_solve_peak_stays_within_budget(sites, magnons):
+    # Peak resident set of a lone diagonalize above the post-assembly one.
+    # VmHWM is ru_maxrss of the child's own address space: ru_maxrss itself
+    # keeps the parent's value across fork and exec.
+    src = str(Path(spectrum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(sites), str(magnons)],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    growth = 1024 * int(out.stdout)
+    assert 0 < growth < spectrum.solve_bytes(sites, magnons)
