@@ -1,11 +1,13 @@
-"""Bit-coded bases for fixed-magnetization sectors.
+"""Bases of fixed-magnetization sectors as occupancy matrices.
 
-A basis state of L spins is an integer whose set bits mark the up spins
-(bit 0 is site 0).  The sector with m up spins is the list of all such
-patterns in ascending integer order, which coincides with the
-combinatorial number system, so ranking and unranking are O(L) and need
-no search.  :func:`total_spin_blocks` splits a sector into orthonormal
-blocks of fixed total spin.
+A basis pattern of L spins is the set of its up sites.  The sector with
+m up spins lists all C(L, m) such patterns in colex order, which is
+ascending order when pattern p is read as the integer sum_{i in p} 2^i;
+it coincides with the combinatorial number system, so ranking and
+unranking are O(L) and need no search.  A sector is stored once, as the
+read-only (dim, L) boolean matrix of which sites are up in each pattern.
+:func:`total_spin_blocks` splits a sector into orthonormal blocks of
+fixed total spin.
 """
 
 from __future__ import annotations
@@ -15,50 +17,44 @@ from math import comb, sqrt
 
 import numpy as np
 
-# Dense dim x dim eigenvector matrices get allocated downstream; keep dimensions sane.
+# Largest sector build_basis enumerates, a bound on its (dim, L) occupancy
+# matrix.  Memory for the arrays built from a sector is checked by the CLI.
 DEFAULT_MAX_DIM = 200_000
 
 
 @dataclass
 class SectorBasis:
-    """All L-spin patterns with exactly m bits set, ascending.
+    """All L-spin patterns with exactly m up spins, in colex order.
 
-    ``words`` holds the same patterns sliced into 64-bit limbs
-    (column w covers bits 64*w .. 64*w+63) so that per-site bit tests
-    vectorize for any L.
+    ``occupancy[t, i]`` is True when site i is up in pattern t.  The
+    array is read-only, so every holder of the basis sees the same
+    patterns.
     """
 
     sites: int
     magnons: int
-    states: list[int]
-    words: np.ndarray = field(repr=False)
+    occupancy: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupancy.shape[0]
 
-    def bit_column(self, i: int) -> np.ndarray:
-        """Boolean array: is site i up in each basis state."""
-        if not 0 <= i < self.sites:
-            raise ValueError(f"site {i} outside 0..{self.sites - 1}")
-        w, b = divmod(i, 64)
-        return (self.words[:, w] >> np.uint64(b)) & np.uint64(1) != 0
-
-    def occupancy(self) -> np.ndarray:
-        """(dim, L) boolean array: is site i up in each basis state."""
-        sites = np.arange(self.sites, dtype=np.uint64)
-        return (self.words[:, sites // np.uint64(64)] >> (sites % np.uint64(64))) & np.uint64(1) != 0
+    @property
+    def states(self) -> list[int]:
+        """The patterns as Python ints, bit i set when site i is up; for oracles and checks."""
+        up = np.nonzero(self.occupancy)[1].reshape(self.dim, self.magnons).tolist()
+        return [sum(1 << i for i in row) for row in up]
 
     def swap_rows(self, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the (i up, j down) and (i down, j up) states of each site pair.
 
         Pair p is (first[p], second[p]).  Both results are (n_pairs,
         C(L-2, m-1)) arrays, and row t of ``ud[p]`` swaps into row t of
-        ``du[p]``: the swap adds the constant 2^j - 2^i to the pattern, so
-        it keeps ascending order between the two groups.
+        ``du[p]``: read as integers, the swap adds the constant
+        2^j - 2^i to the pattern, so it keeps ascending order between
+        the two groups.
         """
-        occupied = self.occupancy()
-        up_i, up_j = occupied[:, first], occupied[:, second]
+        up_i, up_j = self.occupancy[:, first], self.occupancy[:, second]
         width = comb(self.sites - 2, self.magnons - 1) if 0 < self.magnons < self.sites else 0
         ud = np.nonzero((up_i & ~up_j).T)[1].reshape(len(first), width)
         du = np.nonzero((~up_i & up_j).T)[1].reshape(len(first), width)
@@ -66,10 +62,7 @@ class SectorBasis:
 
     def spins(self) -> np.ndarray:
         """(dim, L) array of +-1 spin values, +1 for up."""
-        return np.where(self.occupancy(), 1.0, -1.0)
-
-    def rank(self, pattern: int) -> int:
-        return rank(self.sites, self.magnons, pattern)
+        return np.where(self.occupancy, 1.0, -1.0)
 
 
 def build_basis(sites: int, magnons: int) -> SectorBasis:
@@ -98,17 +91,10 @@ def build_basis(sites: int, magnons: int) -> SectorBasis:
         rows = np.arange(counts.sum()) - np.repeat(starts, counts)
         positions = np.column_stack([positions[rows], np.repeat(np.array(tops), counts)])
 
-    n_words = (sites + 63) // 64
-    limb, bit = np.divmod(positions, 64)
-    bits = np.left_shift(np.uint64(1), bit.astype(np.uint64))
-    words = np.stack(
-        [np.bitwise_or.reduce(np.where(limb == w, bits, np.uint64(0)), axis=1) for w in range(n_words)], axis=1
-    )
-    values = words[:, -1].astype(object)
-    for w in range(n_words - 2, -1, -1):
-        values = (values << 64) | words[:, w].astype(object)
-    states = values.tolist()
-    return SectorBasis(sites, magnons, states, words)
+    occupancy = np.zeros((dim, sites), dtype=bool)
+    np.put_along_axis(occupancy, positions, True, axis=1)
+    occupancy.flags.writeable = False
+    return SectorBasis(sites, magnons, occupancy)
 
 
 def total_spin_blocks(sites: int, magnons: int) -> dict[int, np.ndarray]:
@@ -202,7 +188,7 @@ def cleared_ranks(b: SectorBasis) -> np.ndarray:
     by one: sum_{c'<c} C(p_c', c'+1) + sum_{c'>c} C(p_c', c').
     """
     L, m = b.sites, b.magnons
-    set_sites = np.nonzero(b.occupancy())[1].reshape(b.dim, m)
+    set_sites = np.nonzero(b.occupancy)[1].reshape(b.dim, m)
     # C(i, k) where i <= L-m+k, the only entries read (set bit c sits at most
     # at site L-m+c); zero elsewhere, where C(i, k) can overflow int64
     table = np.array([[comb(i, k) if i <= L - m + k else 0 for k in range(m + 1)] for i in range(L)],

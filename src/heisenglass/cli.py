@@ -506,6 +506,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"random-ensemble scaling allows at most --samples {ensembles.MAX_SAMPLES}")
             if any(sites < 3 for sites in cfg.sites):
                 raise ConfigError("random ensembles need L >= 3")
+            if cfg.pairs == "all":
+                for sites in cfg.sites:
+                    _check_all_pairs_ensemble(_TARGET_KIND[cfg.target], sites, cfg.samples)
         if len(set(cfg.sites)) != len(cfg.sites):
             raise ConfigError("-L values must be distinct")
         if sum(1 for s in cfg.sites if s >= fitting.DEFAULT_MIN_SITES) < 4:
@@ -551,25 +554,36 @@ def _cgroup_memory_limit() -> int | None:
     return None
 
 
-def _check_sector(sites: int, magnons: int, workers: int) -> None:
-    """Reject an empty sector, or one whose solves do not fit in memory.
-
-    ``workers`` is the pool size that will run; each worker holds its own
-    solve, of at most ``spectrum.solve_bytes`` bytes.  The memory is the
-    smaller of the physical memory and a cgroup limit.
-    """
-    if not 1 <= magnons < sites:
-        raise ConfigError(f"need 1 <= m < L, got m={magnons} L={sites}")
-    need = spectrum.solve_bytes(sites, magnons) * workers
+def _check_memory(need: int, what: str) -> None:
+    """Reject ``need`` bytes for ``what`` above the smaller of the physical memory and a cgroup limit."""
     have, source = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     limit = _cgroup_memory_limit()
     if limit is not None and limit < have:
         have, source = limit, "cgroup memory limit"
     if need > have:
-        raise ConfigError(
-            f"sector dimension C({sites},{magnons}) = {math.comb(sites, magnons)} needs {need / 2**30:.3g} GiB "
-            f"with {workers} worker(s), more than the {have / 2**30:.3g} GiB of {source}"
-        )
+        raise ConfigError(f"{what} needs {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of {source}")
+
+
+def _check_sector(sites: int, magnons: int, workers: int) -> None:
+    """Reject an empty sector, or one whose solves do not fit in memory.
+
+    ``workers`` is the pool size that will run; each worker holds its own
+    solve and statistics, of at most ``spectrum.solve_bytes`` bytes.
+    """
+    if not 1 <= magnons < sites:
+        raise ConfigError(f"need 1 <= m < L, got m={magnons} L={sites}")
+    _check_memory(
+        spectrum.solve_bytes(sites, magnons) * workers,
+        f"sector dimension C({sites},{magnons}) = {math.comb(sites, magnons)} with {workers} worker(s)",
+    )
+
+
+def _check_all_pairs_ensemble(kind: str, sites: int, samples: int) -> None:
+    """Reject an all-pairs ensemble whose two-magnon sector is too large or whose kernel does not fit."""
+    dim = math.comb(sites, 2)
+    if dim > basis.DEFAULT_MAX_DIM:
+        raise ConfigError(f"--pairs all at L={sites} needs a sector of dimension {dim}, above {basis.DEFAULT_MAX_DIM}")
+    _check_memory(ensembles.all_pairs_bytes(kind, sites, samples), f"--pairs all at L={sites}")
 
 
 _COMMANDS = {

@@ -27,7 +27,7 @@ from scipy import integrate
 
 from .basis import build_basis
 from .couplings import sample_keys, sample_seed
-from .entanglement import DefiniteParticleState, concurrence_from_elements, pair_concurrences
+from .entanglement import DefiniteParticleState, concurrence_from_elements, pair_concurrence_bytes, pair_concurrences
 from .ladder import promotion_map
 
 RANDOM_1P = "random-1p"
@@ -242,6 +242,18 @@ def sample_values(spec: EnsembleSpec, quantities: tuple[str, ...]) -> np.ndarray
         for row, quantity in zip(out, quantities):
             row[lo:hi] = values[quantity]
     return out
+
+
+def all_pairs_bytes(kind: str, sites: int, n_samples: int) -> int:
+    """Upper estimate of the bytes :func:`sample_values` allocates under the all-pairs policy.
+
+    One chunk of samples at a time: the sector's (dim, L) occupancy
+    matrix, the drawn coefficients and their sigma^+ image (dim x chunk
+    each, dim = C(L, m)), and the pair-concurrence kernel on the chunk.
+    """
+    magnons = 1 if kind == RANDOM_1P else 2
+    dim, chunk = math.comb(sites, magnons), min(n_samples, _CHUNK)
+    return dim * (sites + 16 * chunk) + pair_concurrence_bytes(sites, magnons, chunk)
 
 
 def estimates(spec: EnsembleSpec, quantities: tuple[str, ...]) -> list[MCEstimate]:

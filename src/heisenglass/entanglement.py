@@ -19,7 +19,7 @@ partners, the (i down, j up) rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -104,8 +104,8 @@ def _pair_groups(basis: SectorBasis, i: int, j: int):
     (i down, j up) state: the swap adds the constant 2^j - 2^i to the
     pattern, so it preserves ascending order between the two groups.
     """
-    ui = basis.bit_column(i)
-    uj = basis.bit_column(j)
+    ui = basis.occupancy[:, i]
+    uj = basis.occupancy[:, j]
     uu = np.flatnonzero(ui & uj)
     ud = np.flatnonzero(ui & ~uj)
     du = np.flatnonzero(~ui & uj)
@@ -123,6 +123,8 @@ def pair_rdm_elements(
     """
     if i == j:
         raise ValueError("pair sites must differ")
+    if not (0 <= i < basis.sites and 0 <= j < basis.sites):
+        raise ValueError(f"pair ({i}, {j}) outside sites 0..{basis.sites - 1}")
     a = np.asarray(coefficients, dtype=np.float64)
     uu, ud, du, dd = _pair_groups(basis, i, j)
     sq = a * a
@@ -175,11 +177,11 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
     if first.size == 0:
         return out[:, 0] if squeeze else out
 
-    occupied = basis.occupancy()
-    up_i, up_j = occupied[:, first], occupied[:, second]
+    ud, du = basis.swap_rows(first, second)
+    up_i, up_j = basis.occupancy[:, first], basis.occupancy[:, second]
     both_up = (up_i & up_j).astype(np.float64)
     both_down = (~(up_i | up_j)).astype(np.float64)
-    ud, du = basis.swap_rows(first, second)
+    del up_i, up_j  # each del lowers the peak that pair_concurrence_bytes budgets
 
     for lo in range(0, n_states, _COLUMN_CHUNK):
         block = np.ascontiguousarray(a[:, lo : lo + _COLUMN_CHUNK])
@@ -191,6 +193,22 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
             z[p] = np.einsum("kc,kc->c", block[ud[p]], block[du[p]])
         out[:, lo : lo + _COLUMN_CHUNK] = concurrence_from_elements(v, y, z)
     return out[:, 0] if squeeze else out
+
+
+def pair_concurrence_bytes(sites: int, magnons: int, n_states: int) -> int:
+    """Upper estimate of the bytes :func:`pair_concurrences` allocates beyond its input.
+
+    With dim = C(L, m) rows, P = C(L, 2) pairs and c = min(n_states,
+    128) columns per block: the two float64 dim x P pair indicators and
+    the four dim x P boolean arrays they are built from, the P x n_states
+    output, the swap-row tables and their index temporaries
+    (P C(L-2, m-1) each), and per block the column copy, its square, v, y,
+    z and three P x c temporaries of the concurrence formula.
+    """
+    dim, pairs = comb(sites, magnons), comb(sites, 2)
+    swaps = pairs * (comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0)
+    chunk = min(n_states, _COLUMN_CHUNK)
+    return 20 * dim * pairs + 8 * (pairs * n_states + 3 * swaps + 2 * dim * chunk + 6 * pairs * chunk)
 
 
 def average_concurrence(state: DefiniteParticleState) -> float:

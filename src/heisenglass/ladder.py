@@ -76,7 +76,7 @@ def promote(state, pmap: PromotionMap):
     """Normalized sigma^+ |state>; raises ZeroPromotionError if annihilated."""
     from .entanglement import DefiniteParticleState
 
-    if state.basis is not pmap.source and state.basis.states != pmap.source.states:
+    if (state.basis.sites, state.basis.magnons) != (pmap.source.sites, pmap.source.magnons):
         raise ValueError("state does not live in the source sector of the map")
     raw = pmap.apply(state.coefficients)
     norm = float(np.linalg.norm(raw))

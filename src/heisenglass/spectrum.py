@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from . import basis
+from . import basis, entanglement
 from .sector import SectorMatrix
 
 
@@ -18,11 +18,12 @@ _LIBRARY_BYTES = 16 * 2**20
 
 
 def solve_bytes(sites: int, magnons: int) -> int:
-    """Upper estimate of the bytes one sample's solve adds above its sparse input.
+    """Upper estimate of the bytes one sample's solve and statistics add above its sparse input.
 
-    Counts, in float64 words, the largest set of arrays alive at once in
-    each phase of :func:`diagonalize` and the classification after it,
-    with dim = C(L, m) and d the widest spin block:
+    Counts the largest set of arrays alive at once in each phase of
+    :func:`diagonalize`, the classification and the pair concurrences
+    after it, with dim = C(L, m) and d the widest spin block, in float64
+    words unless stated:
 
     * spin-block build: the dim^2 of blocks next to both parent sectors';
     * block solve: the blocks (or the V_S replacing them), H Q_S and
@@ -30,7 +31,11 @@ def solve_bytes(sites: int, magnons: int) -> int:
       after eigh, H Q_S, V_S and H V_S next to X;
     * merge and Gram check: the merged copy next to the blocks and |V_S|,
       then next to V^T V;
-    * classification: the eigenvectors and their sigma^- image.
+    * classification: the eigenvectors and their sigma^- image;
+    * pair concurrences: the eigenvectors, the promoted columns copied
+      out of them, and the bytes of
+      :func:`entanglement.pair_concurrence_bytes` for dim columns, which
+      dominate at small m (its indicators are dim x C(L, 2)).
 
     One more dim^2 covers freed blocks the allocator keeps, and a fixed
     16 MiB the library buffers.
@@ -44,7 +49,9 @@ def solve_bytes(sites: int, magnons: int) -> int:
         2 * dim * dim + dim * d,
         dim * dim + comb(sites, magnons - 1) * dim,
     )
-    return 8 * (words + dim * dim) + _LIBRARY_BYTES
+    promoted = min(comb(sites, magnons - 1), dim)
+    concurrence = 8 * (dim * dim + dim * promoted) + entanglement.pair_concurrence_bytes(sites, magnons, dim)
+    return max(8 * words, concurrence) + 8 * dim * dim + _LIBRARY_BYTES
 
 
 class SpectrumError(RuntimeError):

@@ -53,14 +53,10 @@ def brute_pair_partners(states: list[int], i: int, j: int) -> list[tuple[int, in
 
 
 def enumerate_patterns(sites: int, magnons: int) -> tuple[list[int], np.ndarray]:
-    """Sector patterns ascending, and their 64-bit limbs, by itertools and Python ints."""
+    """Sector patterns ascending, and their (dim, L) occupancy, by itertools and Python ints."""
     states = sorted(sum(1 << s for s in combo) for combo in combinations(range(sites), magnons))
-    n_words = (sites + 63) // 64
-    words = np.zeros((len(states), n_words), dtype=np.uint64)
-    for k, pattern in enumerate(states):
-        for w in range(n_words):
-            words[k, w] = (pattern >> (64 * w)) & ((1 << 64) - 1)
-    return states, words
+    occupancy = np.array([[(pattern >> i) & 1 == 1 for i in range(sites)] for pattern in states], dtype=bool)
+    return states, occupancy
 
 
 def finite_difference_jacobian(family: str, params: np.ndarray, L: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -85,12 +85,22 @@ def test_build_rejects_bad_args():
         basis.total_spin_blocks(4, 5)
 
 
-def test_bit_column_wide_patterns():
-    # spans the 64-bit word boundary
+def test_occupancy_columns_of_wide_patterns():
+    # sites on both sides of bit 64 of the integer patterns
     b = basis.build_basis(70, 2)
+    states, _ = oracles.enumerate_patterns(70, 2)
     for i in (0, 31, 63, 64, 69):
-        expect = np.array([(s >> i) & 1 == 1 for s in b.states])
-        assert np.array_equal(b.bit_column(i), expect)
+        expect = np.array([(s >> i) & 1 == 1 for s in states])
+        assert np.array_equal(b.occupancy[:, i], expect)
+
+
+def test_occupancy_is_read_only():
+    b = basis.build_basis(6, 3)
+    assert b.occupancy.shape == (20, 6) and b.occupancy.dtype == bool
+    with pytest.raises(ValueError):
+        b.occupancy[0, 0] = not b.occupancy[0, 0]
+    with pytest.raises(ValueError):
+        b.occupancy[:] = False
 
 
 def test_spins_row_sums():
@@ -121,10 +131,11 @@ def test_build_basis_matches_itertools_enumeration():
     sectors = [(L, m) for L in range(1, 11) for m in range(L + 1)] + [(70, 2)]
     for sites, magnons in sectors:
         b = basis.build_basis(sites, magnons)
-        states, words = oracles.enumerate_patterns(sites, magnons)
+        states, occupancy = oracles.enumerate_patterns(sites, magnons)
+        assert b.dim == len(states)
+        assert b.occupancy.dtype == bool and np.array_equal(b.occupancy, occupancy)
         assert all(type(s) is int for s in b.states)
-        assert np.array_equal(np.array(b.states, dtype=object), np.array(states, dtype=object))
-        assert b.words.dtype == np.uint64 and np.array_equal(b.words, words)
+        assert b.states == states
 
 
 # sectors with L <= 12, including 2m = L and 2m > L

@@ -195,6 +195,38 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
         ["spectrum-report", "-L", "16", "-m", "8", "--workers", "1", "--out", str(tmp_path / "out")]))
 
 
+def test_pair_kernel_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
+    # at m = 1 the dim x C(L, 2) pair indicators of the concurrence kernel
+    # outweigh the solve: L=800 needs 4 GB of them
+    def no_sampling(*args):
+        raise AssertionError("validation must reject the run before any allocation")
+
+    monkeypatch.setattr(couplings, "sample_couplings", no_sampling)
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (str(tmp_path / "absent"),))
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.__getitem__)  # 1 GiB
+    assert cli.main(["spectrum-report", "-L", "800", "-m", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sites,reason", [
+    ("8,12,16,700", "dimension 244650"),  # C(700, 2) is above DEFAULT_MAX_DIM
+    ("8,12,16,300", "physical memory"),  # the pair indicators alone are 2 C(300, 2)^2 floats
+])
+def test_all_pairs_ensemble_too_large_exits_two(tmp_path, monkeypatch, capsys, sites, reason):
+    def no_draws(*args):
+        raise AssertionError("validation must reject the run before any draw")
+
+    monkeypatch.setattr(ensembles, "sample_values", no_draws)
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (str(tmp_path / "absent"),))
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)  # 8 GiB
+    argv = ["scaling", "--target", "random", "--pairs", "all", "-L", sites, "--samples", "100",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("files,limited", [
     ({"memory.max": "max\n"}, False),
     ({"memory.max": "1073741824\n"}, True),

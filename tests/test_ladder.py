@@ -78,7 +78,7 @@ def test_promoted_eigenstates_stay_eigenstates():
 
 
 def test_promotion_matrix_against_brute_force():
-    # every sector up to L=10 (m-1 = 0, 2m > L, m = L) and a two-limb L=70 sector
+    # every sector up to L=10 (m-1 = 0, 2m > L, m = L) and an L=70 sector, wider than 64 bits
     sectors = [(sites, m) for sites in range(1, 11) for m in range(1, sites + 1)] + [(70, 2)]
     for sites, m in sectors:
         pmap = _promotion(sites, m - 1)
@@ -88,7 +88,7 @@ def test_promotion_matrix_against_brute_force():
         for t, pattern in enumerate(pmap.target.states):
             for b in range(sites):
                 if (pattern >> b) & 1:
-                    parent = pmap.source.rank(pattern & ~(1 << b))
+                    parent = basis.rank(sites, m - 1, pattern & ~(1 << b))
                     expected[t, parent] += 1.0
                     order.append(parent)
         assert np.array_equal(P, expected), (sites, m)

@@ -161,7 +161,7 @@ def test_fix_signs_zero_safe():
 
 _PEAK_SCRIPT = """
 import sys
-from heisenglass import basis, couplings, sector, spectrum
+from heisenglass import basis, cli, couplings, sector, spectrum
 
 def status_kib(field):
     with open("/proc/self/status") as f:
@@ -172,22 +172,41 @@ def solve(L, m):
     return sector.assemble(cm, basis.build_basis(L, m))
 
 spectrum.diagonalize(solve(6, 3))  # first calls into BLAS, LAPACK and scipy.sparse
-sm = solve(int(sys.argv[1]), int(sys.argv[2]))
-before = status_kib("VmRSS")
-spectrum.diagonalize(sm)
+L, m = int(sys.argv[1]), int(sys.argv[2])
+if sys.argv[3:] == ["sample"]:  # a whole CLI sample: bases, solve, labels and per-state statistics
+    cli.eigenstate_sample(couplings.InfiniteRange(), 6, 3, 0, 0)
+    before = status_kib("VmRSS")
+    cli.eigenstate_sample(couplings.InfiniteRange(), L, m, 0, 0)
+else:
+    sm = solve(L, m)
+    before = status_kib("VmRSS")
+    spectrum.diagonalize(sm)
 print(status_kib("VmHWM") - before)
 """
+
+
+def _peak_growth(*args) -> int:
+    # VmHWM is ru_maxrss of the child's own address space: ru_maxrss itself
+    # keeps the parent's value across fork and exec.
+    src = str(Path(spectrum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    return 1024 * int(out.stdout)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("sites,magnons", [(60, 2), (25, 2), (16, 3), (13, 6), (14, 7)])
 def test_solve_peak_stays_within_budget(sites, magnons):
     # Peak resident set of a lone diagonalize above the post-assembly one.
-    # VmHWM is ru_maxrss of the child's own address space: ru_maxrss itself
-    # keeps the parent's value across fork and exec.
-    src = str(Path(spectrum.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(sites), str(magnons)],
-                         env=env, capture_output=True, text=True, check=True, timeout=300)
-    growth = 1024 * int(out.stdout)
+    growth = _peak_growth(sites, magnons)
+    assert 0 < growth < spectrum.solve_bytes(sites, magnons)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
+@pytest.mark.parametrize("sites,magnons", [(150, 1)])
+def test_sample_peak_stays_within_budget(sites, magnons):
+    # A whole eigenstate sample at m = 1, where the dim x C(L, 2) pair
+    # indicators of the concurrence kernel outweigh the solve.
+    growth = _peak_growth(sites, magnons, "sample")
     assert 0 < growth < spectrum.solve_bytes(sites, magnons)
