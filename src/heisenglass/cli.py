@@ -57,14 +57,14 @@ class ExperimentConfig:
     target: str | None = None
     sigmas: tuple[float, ...] | None = None
     zero_sum: bool = False
-    degtol: float | None = None
     workers: int = 1
 
     def header(self) -> dict:
         """JSON-safe config echo.
 
         The worker count is deliberately omitted: it must never change
-        the output bytes, so it has no business in the header.
+        the output bytes, so it has no business in the header.  "degtol"
+        stays null: the degeneracy tolerance is always 1e-8 max(1, ||H||_F).
         """
         d = {
             "command": self.command,
@@ -78,7 +78,7 @@ class ExperimentConfig:
             "target": self.target,
             "sigmas": None if self.sigmas is None else [_json_float(s) for s in self.sigmas],
             "zero_sum": self.zero_sum,
-            "degtol": self.degtol,
+            "degtol": None,
             "ladder_tol": ladder.LADDER_TOL,
             "version": __version__,
         }
@@ -129,21 +129,19 @@ def _classified_sample(
     magnons: int,
     master_seed: int,
     index: int,
-    degtol: float | None,
 ) -> tuple[couplings.CouplingMatrix, basis.SectorBasis, spectrum.Spectrum, ladder.Classification]:
     """Sample, diagonalize and classify one disorder realization.
 
-    Raises InvariantError unless exactly min(C(L, m-1), C(L, m)) states
-    are promoted: sigma^+ maps the m-1 sector injectively into the m
-    sector for 2m <= L, and onto it for 2m > L.
+    Raises InvariantError unless the promoted count is the one
+    :func:`ladder.expected_counts` gives.
     """
     cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
     lower = basis.build_basis(sites, magnons - 1)
     upper = basis.build_basis(sites, magnons)
     pmap = ladder.promotion_map(lower, upper)
-    spec = spectrum.diagonalize(sector.assemble(cm, upper), degtol=degtol)
+    spec = spectrum.diagonalize(sector.assemble(cm, upper))
     cls = ladder.classify(spec, pmap)
-    expected = min(lower.dim, upper.dim)
+    expected, _ = ladder.expected_counts(sites, magnons)
     if cls.n_promoted != expected:
         raise InvariantError(
             f"sample {index} (L={sites}, m={magnons}): {cls.n_promoted} promoted states, expected {expected}"
@@ -172,10 +170,9 @@ def eigenstate_sample(
     magnons: int,
     master_seed: int,
     index: int,
-    degtol: float | None = None,
 ) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
-    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index, degtol)
+    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index)
     return StateArrays(
         eigenvalue=spec.eigenvalues,
         e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
@@ -197,7 +194,7 @@ def state_rows(columns) -> list[str]:
 
 
 def _eigen_job(args: tuple) -> StateArrays:
-    """``args`` is (model, sites, magnons, seed, index, degtol)."""
+    """``args`` is (model, sites, magnons, seed, index)."""
     return eigenstate_sample(*args)
 
 
@@ -235,7 +232,7 @@ def _write_output(path: Path, header: dict, lines: list[str]) -> None:
 def cmd_spectrum_report(cfg: ExperimentConfig) -> int:
     model = resolve_model(cfg.model, cfg.sigma)
     sites = cfg.sites[0]
-    jobs = [(model, sites, cfg.magnons, cfg.seed, k, cfg.degtol) for k in range(cfg.samples)]
+    jobs = [(model, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
     rows = [REPORT_HEADER]
     for k, arrays in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
         rows.extend(f"{k},{row}" for row in state_rows(arrays))
@@ -248,7 +245,7 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
     sites = cfg.sites[0]
     for sigma in cfg.sigmas:
         model = sigma_model(sigma)
-        jobs = [(model, sites, cfg.magnons, cfg.seed, k, cfg.degtol) for k in range(cfg.samples)]
+        jobs = [(model, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
         rows = [PHASE_HEADER]
         for k, a in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
             columns = (a.avg_concurrence, a.participation, a.promoted, a.degenerate)
@@ -259,25 +256,13 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
 
 
 def _eigenstate_estimates(cfg: ExperimentConfig, model: couplings.Model) -> list[ensembles.MCEstimate]:
-    kind = f"eigenstates-{model.name}"
+    quantities = (ensembles.MEAN_CONCURRENCE, ensembles.PROB_POSITIVE)  # the columns of _promoted_summary_job
     out = []
     for sites in cfg.sites:
         seed = scoped_seed(cfg.seed, sites)
-        jobs = [(model, sites, cfg.magnons, seed, k, cfg.degtol) for k in range(cfg.samples)]
-        values = np.array(_map_jobs(_promoted_summary_job, jobs, cfg.workers))
-        for col, quantity in ((0, ensembles.MEAN_CONCURRENCE), (1, ensembles.PROB_POSITIVE)):
-            v = values[:, col]
-            out.append(
-                ensembles.MCEstimate(
-                    quantity=quantity,
-                    kind=kind,
-                    pair_policy="all",
-                    sites=sites,
-                    n_samples=cfg.samples,
-                    mean=float(v.mean()),
-                    stderr=float(v.std(ddof=1) / math.sqrt(cfg.samples)),
-                )
-            )
+        jobs = [(model, sites, cfg.magnons, seed, k) for k in range(cfg.samples)]
+        values = np.array(_map_jobs(_promoted_summary_job, jobs, cfg.workers)).T
+        out.extend(ensembles.summarize(quantities, values, f"eigenstates-{model.name}", "all", sites))
     return out
 
 
@@ -407,7 +392,6 @@ def _add_common(sp: argparse.ArgumentParser, samples: int) -> None:
     sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     sp.add_argument("--workers", type=int, default=None,
                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    sp.add_argument("--degtol", type=float, default=None, help="degeneracy tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +445,6 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         target=getattr(ns, "target", None),
         sigmas=getattr(ns, "sigmas", None),
         zero_sum=getattr(ns, "zero_sum", False),
-        degtol=ns.degtol,
         workers=_resolve_workers(ns.workers),
     )
     validate_config(cfg)
@@ -478,8 +461,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     # written as "not x >= 0" so that NaN fails too
     if cfg.sigma is not None and not cfg.sigma >= 0:
         raise ConfigError("--sigma must be non-negative")
-    if cfg.degtol is not None and not (math.isfinite(cfg.degtol) and cfg.degtol >= 0):
-        raise ConfigError("--degtol must be finite and non-negative")
     _check_unread_options(cfg)
     if cfg.model == "pl" and cfg.sigma is None:
         raise ConfigError("--model pl requires --sigma")
@@ -526,7 +507,6 @@ def _check_unread_options(cfg: ExperimentConfig) -> None:
     unread = {
         "--pairs": cfg.pairs != "all" and not random,
         "--zero-sum": cfg.zero_sum and cfg.target != "random-promoted",
-        "--degtol": cfg.degtol is not None and cfg.command == "scaling",
         "--model": cfg.model != "ir" and fixed_model,
         "--sigma": cfg.sigma is not None and fixed_model,
         "--sigma without --model pl": cfg.sigma is not None and cfg.model != "pl",
@@ -607,7 +587,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         InvariantError,
         spectrum.SpectrumError,
-        ladder.ZeroPromotionError,
         fitting.FitError,
         ensembles.StreamError,
     ) as err:

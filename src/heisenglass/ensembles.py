@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .basis import build_basis
 from .couplings import sample_keys, sample_seed
-from .entanglement import DefiniteParticleState, concurrence_from_elements, pair_concurrence_bytes, pair_concurrences
+from .entanglement import concurrence_from_elements, pair_concurrence_bytes, pair_concurrences
 from .ladder import promotion_map
 
 RANDOM_1P = "random-1p"
@@ -44,8 +42,9 @@ QUANTITIES = (PROB_POSITIVE, MEAN_CONCURRENCE, MEAN_IPR)
 # pair is entangled, from the signs of the two Gaussian seed amplitudes.
 PROB_POSITIVE_ASYMPTOTE = math.erf(2.0**-0.5) ** 2 + math.erfc(2.0**-0.5) ** 2
 
-# Rounded value of promoted_concurrence_constant(): <C> * L for promoted
-# random states as L -> infinity.
+# <C> * L for promoted random states as L -> infinity, rounded: the mean
+# of max(2 (|1 + x1 x2| - |x1 + x2|), 0) over independent standard normal
+# seed amplitudes x1, x2 (the test suite evaluates it by quadrature).
 PROMOTED_CONCURRENCE_COEFF = 0.465
 
 _CHUNK = 1024
@@ -134,19 +133,6 @@ def _draw_seed_vectors(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
             a -= a.mean()
         A[:, col] = a / math.sqrt(a.dot(a))  # the value np.linalg.norm(a) computes, without its overhead
     return A
-
-
-def sample_state(spec: EnsembleSpec, index: int) -> DefiniteParticleState:
-    """Materialize sample ``index`` as a state over its sector basis."""
-    a = _draw_seed_vectors(spec, index, index + 1)[:, 0]
-    if spec.kind == RANDOM_2P:
-        return DefiniteParticleState(build_basis(spec.sites, 2), a)
-    one = DefiniteParticleState(build_basis(spec.sites, 1), a)
-    if spec.kind == RANDOM_1P:
-        return one
-    from .ladder import promote
-
-    return promote(one, promotion_map(one.basis))
 
 
 def _two_magnon_gathers(sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,20 +242,28 @@ def all_pairs_bytes(kind: str, sites: int, n_samples: int) -> int:
     return dim * (sites + 16 * chunk) + pair_concurrence_bytes(sites, magnons, chunk)
 
 
-def estimates(spec: EnsembleSpec, quantities: tuple[str, ...]) -> list[MCEstimate]:
-    """Monte Carlo means with standard errors (sample stdev / sqrt N), one pass."""
+def summarize(
+    quantities: tuple[str, ...], values: np.ndarray, kind: str, pair_policy: str, sites: int
+) -> list[MCEstimate]:
+    """Means with standard errors (sample stdev / sqrt N) of per-sample value rows, one row per quantity."""
+    n_samples = values.shape[1]
     return [
         MCEstimate(
             quantity=quantity,
-            kind=spec.kind,
-            pair_policy=spec.pair_policy,
-            sites=spec.sites,
-            n_samples=spec.n_samples,
-            mean=float(values.mean()),
-            stderr=float(values.std(ddof=1) / math.sqrt(spec.n_samples)),
+            kind=kind,
+            pair_policy=pair_policy,
+            sites=sites,
+            n_samples=n_samples,
+            mean=float(row.mean()),
+            stderr=float(row.std(ddof=1) / math.sqrt(n_samples)),
         )
-        for quantity, values in zip(quantities, sample_values(spec, quantities))
+        for quantity, row in zip(quantities, values)
     ]
+
+
+def estimates(spec: EnsembleSpec, quantities: tuple[str, ...]) -> list[MCEstimate]:
+    """Monte Carlo means with standard errors, every sample drawn once."""
+    return summarize(quantities, sample_values(spec, quantities), spec.kind, spec.pair_policy, spec.sites)
 
 
 def estimate(spec: EnsembleSpec, quantity: str) -> MCEstimate:
@@ -279,17 +273,11 @@ def estimate(spec: EnsembleSpec, quantity: str) -> MCEstimate:
 
 @dataclass(frozen=True)
 class ClosedForms:
-    """Reference values the ensembles should reproduce at large L."""
+    """Large-L mean pair concurrences the ensembles should reproduce."""
 
     sites: int
-    prob_positive_asymptote: float
     mean_concurrence_promoted2p: float
     mean_concurrence_random2p: float
-    mean_sq_coherence_random2p: float
-    mean_ipr_random1p: float
-    mean_ipr_promoted2p: float
-    uniform_concurrence_1p: float
-    uniform_avg_concurrence_2p: float
 
 
 def uniform_avg_concurrence_2p(sites: int) -> float:
@@ -302,52 +290,6 @@ def closed_forms(sites: int) -> ClosedForms:
     L = sites
     return ClosedForms(
         sites=L,
-        prob_positive_asymptote=PROB_POSITIVE_ASYMPTOTE,
         mean_concurrence_promoted2p=PROMOTED_CONCURRENCE_COEFF / L,
         mean_concurrence_random2p=16.0 / (L * L * math.pi**1.5),
-        mean_sq_coherence_random2p=4.0 / L**3,
-        mean_ipr_random1p=3.0 / L,
-        mean_ipr_promoted2p=6.0 / (L * L),
-        uniform_concurrence_1p=2.0 / L,
-        uniform_avg_concurrence_2p=uniform_avg_concurrence_2p(L),
     )
-
-
-@dataclass(frozen=True)
-class PromotedPairApprox:
-    """Large-L pair (0, 1) elements of a promoted one-magnon state."""
-
-    v: float  # both up
-    y: float  # both down
-    z: float  # coherence
-
-
-def promoted_pair_leading_order(a0: float, a1: float, sites: int) -> PromotedPairApprox:
-    """Leading 1/L forms of the promoted pair RDM given the two seed amplitudes."""
-    L = float(sites)
-    return PromotedPairApprox(
-        v=(a0 + a1) ** 2 / L,
-        y=1.0,
-        z=(1.0 + L * a0 * a1) / L,
-    )
-
-
-@lru_cache(maxsize=1)
-def promoted_concurrence_constant() -> float:
-    """<C> * L for promoted random states as L -> infinity, by quadrature.
-
-    In leading order the pair concurrence is
-    2 (|1 + x1 x2| - |x1 + x2|) / L with x1, x2 the standardized seed
-    amplitudes, positive exactly on (1 - x1^2)(1 - x2^2) > 0.  The
-    region splits into the unit square and its two-sided tails; the
-    (x1, x2) -> (-x1, -x2) symmetry halves the tail work.
-    """
-
-    def integrand(x2: float, x1: float) -> float:
-        density = math.exp(-(x1 * x1 + x2 * x2) / 2.0) / (2.0 * math.pi)
-        return (abs(1.0 + x1 * x2) - abs(x1 + x2)) * density
-
-    inner, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=1e-12)
-    tail_pp, _ = integrate.dblquad(integrand, 1.0, np.inf, 1.0, np.inf, epsabs=1e-12)
-    tail_pm, _ = integrate.dblquad(integrand, 1.0, np.inf, -np.inf, -1.0, epsabs=1e-12)
-    return 2.0 * (inner + 2.0 * (tail_pp + tail_pm))

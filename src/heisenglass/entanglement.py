@@ -146,26 +146,29 @@ def concurrence(rdm: PairRDM) -> float:
     return max(2.0 * (abs(rdm.z) - sqrt(rdm.v * rdm.y)), 0.0)
 
 
-def concurrence_from_elements(v, y, z) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    return np.maximum(2.0 * (np.abs(z) - np.sqrt(np.maximum(v * y, 0.0))), 0.0)
+def concurrence_from_elements(v: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max(2 (|z| - sqrt(max(v y, 0))), 0), elementwise, evaluated in place.
 
-
-def site_pairs(sites: int) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(sites) for j in range(i + 1, sites)]
+    ``v`` and ``z`` are float64 arrays that are overwritten; the result
+    is ``z``.  No temporary is allocated.
+    """
+    v *= y
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)
+    np.abs(z, out=z)
+    z -= v
+    z *= 2.0
+    return np.maximum(z, 0.0, out=z)
 
 
 def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarray:
     """Concurrence of every site pair for every column state.
 
-    Returns an (n_pairs, n_states) array ordered like
-    :func:`site_pairs`.  Per block of columns, v and y are two matrix
-    products of the pair indicators with a*a, O(n_pairs * dim) per
-    column in BLAS, and z reads only the 2 C(L-2, m-1) antiparallel rows
-    of each pair.
+    Returns an (n_pairs, n_states) array whose rows are the pairs
+    (i, j), i < j, in the order of ``np.triu_indices(L, 1)``.  Per block
+    of columns, v and y are two matrix products of the pair indicators
+    with a*a, O(n_pairs * dim) per column in BLAS, and z reads only the
+    2 C(L-2, m-1) antiparallel rows of each pair.
     """
     a = np.asarray(coefficients, dtype=np.float64)
     squeeze = a.ndim == 1
@@ -202,13 +205,13 @@ def pair_concurrence_bytes(sites: int, magnons: int, n_states: int) -> int:
     128) columns per block: the two float64 dim x P pair indicators and
     the four dim x P boolean arrays they are built from, the P x n_states
     output, the swap-row tables and their index temporaries
-    (P C(L-2, m-1) each), and per block the column copy, its square, v, y,
-    z and three P x c temporaries of the concurrence formula.
+    (P C(L-2, m-1) each), and per block the column copy, its square, v, y
+    and z (the concurrence formula runs in place in v and z).
     """
     dim, pairs = comb(sites, magnons), comb(sites, 2)
     swaps = pairs * (comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0)
     chunk = min(n_states, _COLUMN_CHUNK)
-    return 20 * dim * pairs + 8 * (pairs * n_states + 3 * swaps + 2 * dim * chunk + 6 * pairs * chunk)
+    return 20 * dim * pairs + 8 * (pairs * n_states + 3 * swaps + 2 * dim * chunk + 3 * pairs * chunk)
 
 
 def average_concurrence(state: DefiniteParticleState) -> float:

@@ -136,9 +136,8 @@ def fit(
     L: np.ndarray,
     y: np.ndarray,
     sigma: np.ndarray | None = None,
-    initial: np.ndarray | None = None,
 ) -> FitResult:
-    """Damped Gauss-Newton least squares for one model family.
+    """Damped Gauss-Newton least squares for one model family, from :func:`initial_guess`.
 
     The damping factor scales the diagonal of the normal matrix and
     shrinks after every accepted step, so the residual never increases.
@@ -164,9 +163,7 @@ def fit(
     else:
         sigma = np.ones_like(y)
 
-    params = np.asarray(initial if initial is not None else initial_guess(family, L, y), dtype=np.float64)
-    if params.shape != (n_par,):
-        raise FitError(f"initial guess must have {n_par} entries")
+    params = initial_guess(family, L, y)
 
     def weighted_rss(par: np.ndarray) -> float:
         res = (y - model_value(family, par, L)) / sigma
@@ -234,19 +231,18 @@ def scaling_pipeline(
     L: np.ndarray,
     y: np.ndarray,
     sigma: np.ndarray | None = None,
-    min_sites: int = DEFAULT_MIN_SITES,
 ) -> dict[str, FitResult | None]:
     """Filter small systems out, then fit both with and without weights.
 
-    Transients below ``min_sites`` distort every family here, so those
-    points are dropped before fitting.  Returns {"weighted", "unweighted"};
+    Transients below ``DEFAULT_MIN_SITES`` distort every family here, so
+    those points are dropped before fitting.  Returns {"weighted", "unweighted"};
     the weighted entry is None when no sigmas are supplied.
     """
     L = np.asarray(L, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    keep = L >= min_sites
+    keep = L >= DEFAULT_MIN_SITES
     if keep.sum() <= len(FAMILIES[family]):
-        raise FitError(f"need more than {len(FAMILIES[family])} points with L >= {min_sites}")
+        raise FitError(f"need more than {len(FAMILIES[family])} points with L >= {DEFAULT_MIN_SITES}")
     Lk, yk = L[keep], y[keep]
     out: dict[str, FitResult | None] = {
         "unweighted": fit(family, Lk, yk),

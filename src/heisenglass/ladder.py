@@ -145,10 +145,15 @@ def classify(spectrum: Spectrum, pmap: PromotionMap) -> Classification:
 
 
 def expected_counts(sites: int, magnons: int) -> tuple[int, int]:
-    """(promoted, new) eigenstate counts for a sector with 2m <= L."""
+    """(promoted, new) eigenstate counts of the m-magnon sector, 0 <= m <= L.
+
+    sigma^+ maps the m-1 sector injectively into the m sector for
+    2m <= L and onto it for 2m > L, so min(C(L, m-1), C(L, m)) states
+    are promoted.
+    """
     dim = comb(sites, magnons)
-    below = comb(sites, magnons - 1) if magnons >= 1 else 0
-    return below, dim - below
+    promoted = min(comb(sites, magnons - 1), dim) if magnons else 0
+    return promoted, dim - promoted
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ from . import basis, entanglement
 from .sector import SectorMatrix
 
 
+# Largest eigenpair residual diagonalize accepts, relative to ||H||_F.
+RESIDUAL_RTOL = 1e-10
+
 # Pages a solve touches beyond its arrays: BLAS/LAPACK buffers and allocator
 # bookkeeping, seen at up to 6 MiB above the array count.
 _LIBRARY_BYTES = 16 * 2**20
@@ -66,7 +69,7 @@ class Spectrum:
     its largest-magnitude component made positive, and lies in the
     total-spin block ``two_s[k]`` = 2S.  ``groups`` lists contiguous
     (start, stop) index ranges of eigenvalues that chain together within
-    ``degtol``.
+    ``degtol`` = 1e-8 * max(1, ||H||_F).
     """
 
     matrix: SectorMatrix
@@ -115,7 +118,7 @@ def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int
     return groups
 
 
-def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-10) -> Spectrum:
+def diagonalize(sm: SectorMatrix) -> Spectrum:
     """Eigensolve a sparse Heisenberg sector block one total spin at a time.
 
     ``sm.matrix`` is a canonical CSR matrix that must commute with the
@@ -128,8 +131,8 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     (H Q_S) X_S, which by associativity is H V_S.
 
     Raises SpectrumError for a non-finite stored entry, an eigenpair
-    residual above rtol * ||H||_F (which is what a matrix without SU(2)
-    symmetry, or an asymmetric one, produces), eigenvectors that are not
+    residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
+    without SU(2) symmetry, or an asymmetric one, produces), eigenvectors that are not
     orthonormal, or an eigenvalue sum that disagrees with the trace,
     instead of returning a silently bad decomposition.
     """
@@ -150,8 +153,8 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
 
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
     worst = float(residual.max(initial=0.0))
-    if not worst <= rtol * scale:
-        raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {rtol:.1e} * ||H||_F")
+    if not worst <= RESIDUAL_RTOL * scale:
+        raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F")
 
     # each block is dropped once placed, so blocks and merged copy never coexist in full
     vectors = np.empty((sm.dim, sm.dim))
@@ -169,8 +172,7 @@ def diagonalize(sm: SectorMatrix, degtol: float | None = None, rtol: float = 1e-
     if not abs(evals.sum() - tr) <= 1e-9 * max(1.0, abs(tr)):
         raise SpectrumError("eigenvalue sum disagrees with trace")
 
-    if degtol is None:
-        degtol = 1e-8 * scale
+    degtol = 1e-8 * scale
     return Spectrum(
         matrix=sm,
         eigenvalues=evals,

@@ -2,14 +2,18 @@
 
 Nothing here shares code with the production kernels: reduced density
 matrices come from a full-space partial trace, pair connectivity from a
-quadratic scan, Jacobians from finite differences.
+quadratic scan, Jacobians from finite differences, the promoted
+concurrence constant from quadrature.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy import integrate
 
 from heisenglass import fitting
 from heisenglass.basis import SectorBasis
@@ -20,6 +24,11 @@ def embed_full_space(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarray
     full = np.zeros(2**basis.sites)
     full[np.fromiter(basis.states, dtype=np.int64)] = coefficients
     return full
+
+
+def site_pairs(sites: int) -> list[tuple[int, int]]:
+    """All pairs (i, j), i < j, in lexicographic order."""
+    return [(i, j) for i in range(sites) for j in range(i + 1, sites)]
 
 
 def pair_rdm_by_partial_trace(psi_full: np.ndarray, sites: int, i: int, j: int) -> np.ndarray:
@@ -82,3 +91,24 @@ def gap_scan_groups(eigenvalues: np.ndarray, tol: float) -> list[tuple[int, int]
             start = k
     groups.append((start, eigenvalues.size))
     return groups
+
+
+@lru_cache(maxsize=1)
+def promoted_concurrence_constant() -> float:
+    """<C> * L for promoted random states as L -> infinity, by quadrature.
+
+    In leading order the pair concurrence is
+    2 (|1 + x1 x2| - |x1 + x2|) / L with x1, x2 the standardized seed
+    amplitudes, positive exactly on (1 - x1^2)(1 - x2^2) > 0.  The
+    region splits into the unit square and its two-sided tails; the
+    (x1, x2) -> (-x1, -x2) symmetry halves the tail work.
+    """
+
+    def integrand(x2: float, x1: float) -> float:
+        density = math.exp(-(x1 * x1 + x2 * x2) / 2.0) / (2.0 * math.pi)
+        return (abs(1.0 + x1 * x2) - abs(x1 + x2)) * density
+
+    inner, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=1e-12)
+    tail_pp, _ = integrate.dblquad(integrand, 1.0, np.inf, 1.0, np.inf, epsabs=1e-12)
+    tail_pm, _ = integrate.dblquad(integrand, 1.0, np.inf, -np.inf, -1.0, epsabs=1e-12)
+    return 2.0 * (inner + 2.0 * (tail_pp + tail_pm))

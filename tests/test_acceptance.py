@@ -188,7 +188,7 @@ def test_criterion_07_random_two_magnon_reference():
 
 
 def _eigen_reports(model, sites, magnons, seed, samples):
-    jobs = [(model, sites, magnons, seed, k, None) for k in range(samples)]
+    jobs = [(model, sites, magnons, seed, k) for k in range(samples)]
     return cli._map_jobs(cli._eigen_job, jobs, WORKERS)
 
 

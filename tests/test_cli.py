@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,17 @@ def _read_output(path: Path) -> tuple[dict, list[str]]:
     assert head.startswith("# ")
     lines = body.rstrip("\n").split("\n")
     return json.loads(head[2:]), lines
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every CLI process pays for what importing the package loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = ("import sys, heisenglass.cli; "
+              "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectrum_report_output(tmp_path):
@@ -119,9 +133,11 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
         ["scaling", "--target", "random-promoted", "-L", "2,8,12,16,24"],
         ["scaling", "--target", "eigenstates", "-L", "8,12,16,16"],
         ["spectrum-report", "-L", "10", "--model", "pl", "--sigma", "nan"],
-        ["spectrum-report", "-L", "10", "--degtol", "nan"],
-        ["spectrum-report", "-L", "10", "--degtol", "inf"],
-        ["spectrum-report", "-L", "10", "--degtol", "-1"],
+        ["spectrum-report", "-L", "10", "--seed", str(2**64)],
+        ["phase-diagram", "-L", "10,12", "--sigmas", "0"],           # one size only
+        ["phase-diagram", "-L", "60", "-m", "5", "--sigmas", "0"],   # memory budget
+        ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "-m", "0"],  # empty sector
+        ["scaling", "--target", "eigenstates", "-L", "8,9,10,60", "-m", "5"],  # memory budget
         ["phase-diagram", "-L", "10", "--sigmas", "0,nan"],
         # options the run never reads, which the header would echo as used
         ["spectrum-report", "-L", "6", "--pairs", "single"],
@@ -129,8 +145,6 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
         ["scaling", "--target", "eigenstates", "--model", "nn", "-L", "8,9,10,11", "--samples", "2",
          "--pairs", "single"],
         ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "--samples", "2", "--zero-sum"],
-        ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "--samples", "2", "--degtol", "1e-6"],
-        ["scaling", "--target", "random", "-L", "8,12,16,24", "--samples", "100", "--degtol", "1e-6"],
         ["phase-diagram", "-L", "6", "--samples", "1", "--sigmas", "0", "--model", "nn"],
         ["phase-diagram", "-L", "6", "--samples", "1", "--sigmas", "0", "--sigma", "1"],
         ["scaling", "--target", "random", "-L", "8,12,16,24", "--samples", "100", "--model", "nn"],
@@ -145,6 +159,14 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
 def test_bad_configuration_exits_two(argv, capsys):
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_degtol_option_is_gone():
+    # the degeneracy tolerance is always 1e-8 max(1, ||H||_F); the header keeps its null entry
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum-report", "-L", "10", "--degtol", "1e-6"])
+    assert exc.value.code == 2
+    assert ExperimentConfig(command="spectrum-report").header()["degtol"] is None
 
 
 def test_sample_count_beyond_32_bit_indices_exits_two(tmp_path, monkeypatch, capsys):
@@ -343,7 +365,7 @@ def test_header_serializes_infinite_sigma():
 def test_eigenstate_sample_matches_job_wrapper():
     model = couplings.InfiniteRange()
     direct = cli.eigenstate_sample(model, 8, 2, 11, 0)
-    wrapped = cli._eigen_job((model, 8, 2, 11, 0, None))
+    wrapped = cli._eigen_job((model, 8, 2, 11, 0))
     assert all(np.array_equal(a, b) for a, b in zip(direct, wrapped))
     assert all(len(column) == 28 for column in direct)
     assert int(direct.promoted.sum()) == 8

@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from heisenglass import couplings, ensembles, entanglement
+from heisenglass.basis import build_basis
 from heisenglass.ensembles import (
     KINDS,
     MEAN_CONCURRENCE,
@@ -16,10 +18,22 @@ from heisenglass.ensembles import (
     RANDOM_PROMOTED_2P,
     EnsembleSpec,
 )
+from heisenglass.ladder import promote, promotion_map
 
 
 def _spec(kind, sites=12, n=120, seed=4, **kw):
     return EnsembleSpec(kind=kind, sites=sites, n_samples=n, seed=seed, **kw)
+
+
+def _sample_state(spec, index):
+    """Sample ``index`` materialized over its sector basis, promoted through sigma^+ where the kind says so."""
+    a = ensembles._draw_seed_vectors(spec, index, index + 1)[:, 0]
+    if spec.kind == RANDOM_2P:
+        return entanglement.DefiniteParticleState(build_basis(spec.sites, 2), a)
+    one = entanglement.DefiniteParticleState(build_basis(spec.sites, 1), a)
+    if spec.kind == RANDOM_1P:
+        return one
+    return promote(one, promotion_map(one.basis))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -27,7 +41,7 @@ def test_single_pair_fast_path_matches_materialized(kind):
     spec = _spec(kind)
     fast = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
     for idx in (0, 1, 17, 119):
-        state = ensembles.sample_state(spec, idx)
+        state = _sample_state(spec, idx)
         rdm = entanglement.pair_rdm(state, 0, 1)
         assert fast[idx] == pytest.approx(entanglement.concurrence(rdm), abs=1e-13)
 
@@ -37,7 +51,7 @@ def test_ipr_fast_path_matches_materialized(kind):
     spec = _spec(kind)
     fast = ensembles.sample_values(spec, (MEAN_IPR,))[0]
     for idx in (0, 5, 119):
-        state = ensembles.sample_state(spec, idx)
+        state = _sample_state(spec, idx)
         direct = entanglement.inverse_participation_ratio(state.coefficients)
         assert fast[idx] == pytest.approx(direct, abs=1e-13)
 
@@ -75,13 +89,11 @@ def test_random2p_coherence_second_moment():
     stderr = sq.std(ddof=1) / math.sqrt(n_samples)
     assert abs(sq.mean() - exact) <= 3.0 * stderr
     # the 4 / L^3 closed form is the same thing to leading order
-    assert ensembles.closed_forms(sites).mean_sq_coherence_random2p == pytest.approx(
-        exact, rel=0.3
-    )
+    assert 4.0 / sites**3 == pytest.approx(exact, rel=0.3)
 
 
 def test_promoted_concurrence_constant_quadrature():
-    c = ensembles.promoted_concurrence_constant()
+    c = oracles.promoted_concurrence_constant()
     assert c == pytest.approx(PROMOTED_CONCURRENCE_COEFF, abs=5e-4)
     # Monte Carlo cross-check at large L where the leading order dominates
     est = ensembles.estimate(
@@ -107,6 +119,11 @@ def test_random1p_pair_always_entangled():
     assert est.mean == 1.0
 
 
+def promoted_pair_leading_order(a0, a1, sites):
+    """Leading 1/L forms of the promoted pair (0, 1) elements (v, y, z) given the two seed amplitudes."""
+    return (a0 + a1) ** 2 / sites, 1.0, (1.0 + sites * a0 * a1) / sites
+
+
 def test_promoted_pair_leading_order_forms():
     sites = 100_000
     rng = np.random.Generator(np.random.Philox(6))
@@ -114,10 +131,10 @@ def test_promoted_pair_leading_order_forms():
     a /= np.linalg.norm(a)
     spec = _spec(RANDOM_PROMOTED_2P, sites=sites)
     v, y, z = ensembles._pair01_elements(spec, a[:, None])
-    approx = ensembles.promoted_pair_leading_order(float(a[0]), float(a[1]), sites)
-    assert float(v[0]) == pytest.approx(approx.v, rel=1e-3)
-    assert float(y[0]) == pytest.approx(approx.y, abs=1e-3)
-    assert float(z[0]) == pytest.approx(approx.z, rel=0.05)
+    approx_v, approx_y, approx_z = promoted_pair_leading_order(float(a[0]), float(a[1]), sites)
+    assert float(v[0]) == pytest.approx(approx_v, rel=1e-3)
+    assert float(y[0]) == pytest.approx(approx_y, abs=1e-3)
+    assert float(z[0]) == pytest.approx(approx_z, rel=0.05)
 
 
 def test_estimates_are_reproducible():
@@ -177,7 +194,7 @@ def test_zero_sum_seed_is_centered():
     a = ensembles._draw_seed_vectors(spec, 3, 4)[:, 0]
     assert abs(a.sum()) <= 1e-14
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
-    state = ensembles.sample_state(spec, 3)
+    state = _sample_state(spec, 3)
     expected = ensembles._pair01_elements(spec, a[:, None])
     rdm = entanglement.pair_rdm(state, 0, 1)
     assert rdm.z == pytest.approx(float(expected[2][0]), abs=1e-14)
@@ -202,16 +219,11 @@ def test_spec_validation():
 
 def test_closed_forms_table():
     cf = ensembles.closed_forms(10)
-    assert cf.uniform_concurrence_1p == pytest.approx(0.2, abs=1e-15)
-    assert cf.mean_ipr_random1p == pytest.approx(0.3, abs=1e-15)
-    assert cf.mean_ipr_promoted2p == pytest.approx(0.06, abs=1e-15)
     assert cf.mean_concurrence_random2p == pytest.approx(16.0 / (100.0 * math.pi**1.5), abs=1e-15)
     assert cf.mean_concurrence_promoted2p == pytest.approx(0.0465, abs=1e-15)
     # cross-module route: the uniform two-magnon closed form against the
     # generic pair kernels on the materialized state
-    state = entanglement.DefiniteParticleState.uniform(
-        ensembles.build_basis(8, 2)
-    )
+    state = entanglement.DefiniteParticleState.uniform(build_basis(8, 2))
     direct = entanglement.average_concurrence(state)
     assert ensembles.uniform_avg_concurrence_2p(8) == pytest.approx(direct, abs=1e-12)
 

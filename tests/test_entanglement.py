@@ -44,7 +44,7 @@ def test_basis_state_is_unentangled():
     coeff = np.zeros(b.dim)
     coeff[3] = 1.0
     state = entanglement.DefiniteParticleState(b, coeff)
-    for i, j in entanglement.site_pairs(5):
+    for i, j in oracles.site_pairs(5):
         rdm = entanglement.pair_rdm(state, i, j)
         assert rdm.z == 0.0
         assert entanglement.concurrence(rdm) == 0.0
@@ -56,7 +56,7 @@ def test_pair_rdm_matches_partial_trace(magnons):
     sites = 4 if magnons == 2 else 6
     state = _random_state(sites, magnons, 17 + magnons)
     psi_full = oracles.embed_full_space(state.basis, state.coefficients)
-    for i, j in entanglement.site_pairs(sites):
+    for i, j in oracles.site_pairs(sites):
         direct = entanglement.pair_rdm(state, i, j).as_matrix()
         traced = oracles.pair_rdm_by_partial_trace(psi_full, sites, i, j)
         # fixed magnetization forces every coherence except (ud, du) to
@@ -172,7 +172,7 @@ def test_pair_concurrences_match_partial_trace(sector_size, uniform, seed):
     kernel = entanglement.pair_concurrences(b, state.coefficients)
     psi_full = oracles.embed_full_space(b, state.coefficients)
     traced = []
-    for i, j in entanglement.site_pairs(sites):
+    for i, j in oracles.site_pairs(sites):
         rho = oracles.pair_rdm_by_partial_trace(psi_full, sites, i, j)
         traced.append(max(2.0 * (abs(rho[1, 2]) - sqrt(rho[0, 0] * rho[3, 3])), 0.0))
     traced = np.array(traced)
@@ -188,7 +188,7 @@ def test_pair_concurrences_across_limbs():
     cols = rng.standard_normal((b.dim, 3))
     cols /= np.linalg.norm(cols, axis=0)
     kernel = entanglement.pair_concurrences(b, cols)
-    for row, (i, j) in enumerate(entanglement.site_pairs(66)):
+    for row, (i, j) in enumerate(oracles.site_pairs(66)):
         v, _, _, y, z = entanglement.pair_rdm_elements(b, cols, i, j)
         assert np.abs(kernel[row] - entanglement.concurrence_from_elements(v, y, z)).max() <= 1e-14
 

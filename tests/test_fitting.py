@@ -77,8 +77,8 @@ def test_initial_guess_power_offset_anchors_plateau():
     y = model_value(POWER_OFFSET, truth, L_GRID)
     guess = initial_guess(POWER_OFFSET, L_GRID, y)
     assert guess[0] == pytest.approx(y[-1], abs=1e-15)
-    # fit from the deterministic guess still lands on the truth
-    result = fit(POWER_OFFSET, L_GRID, y, initial=guess)
+    # fit, which starts from the deterministic guess, still lands on the truth
+    result = fit(POWER_OFFSET, L_GRID, y)
     assert np.abs(result.parameters - truth).max() <= 1e-6
 
 
@@ -94,8 +94,6 @@ def test_validation_errors():
         fit(POWER_LAW, -L_GRID, y)
     with pytest.raises(FitError):
         fit(POWER_LAW, L_GRID, y, sigma=np.zeros_like(y))
-    with pytest.raises(FitError):
-        fit(POWER_LAW, L_GRID, y, initial=np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         model_value("quartic", TRUTH[POWER_LAW], L_GRID)
     with pytest.raises(ValueError):

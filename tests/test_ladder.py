@@ -274,3 +274,10 @@ def test_localized_bound_matches_direct_promotion():
 def test_expected_counts_formula():
     assert ladder.expected_counts(12, 1) == (1, 11)
     assert ladder.expected_counts(12, 3) == (comb(12, 2), comb(12, 3) - comb(12, 2))
+
+
+def test_expected_counts_above_half_filling():
+    # 2m > L: sigma^+ maps the 20-dim m=3 sector onto the 15-dim m=4 sector
+    assert ladder.expected_counts(6, 4) == (15, 0)
+    assert ladder.expected_counts(6, 6) == (1, 0)
+    assert ladder.expected_counts(6, 0) == (0, 1)
