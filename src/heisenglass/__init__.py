@@ -22,7 +22,7 @@ from .entanglement import (
     pair_concurrences,
     pair_rdm,
 )
-from .ladder import Classification, PromotionMap, classify, promote, promotion_map
+from .ladder import Classification, classify, promote, promotion_map
 from .sector import SectorMatrix, assemble
 from .spectrum import Spectrum, diagonalize
 
@@ -45,7 +45,6 @@ __all__ = [
     "pair_concurrences",
     "pair_rdm",
     "Classification",
-    "PromotionMap",
     "classify",
     "promote",
     "promotion_map",

@@ -132,15 +132,18 @@ def _classified_sample(
 ) -> tuple[couplings.CouplingMatrix, basis.SectorBasis, spectrum.Spectrum, ladder.Classification]:
     """Sample, diagonalize and classify one disorder realization.
 
-    Raises InvariantError unless the promoted count is the one
-    :func:`ladder.expected_counts` gives.
+    Raises InvariantError unless the uniform state is an eigenstate at
+    S_J to within the eigenpair tolerance and the promoted count is the
+    one :func:`ladder.expected_counts` gives.
     """
     cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
-    lower = basis.build_basis(sites, magnons - 1)
     upper = basis.build_basis(sites, magnons)
-    pmap = ladder.promotion_map(lower, upper)
-    spec = spectrum.diagonalize(sector.assemble(cm, upper))
-    cls = ladder.classify(spec, pmap)
+    sm = sector.assemble(cm, upper)
+    residual = sector.all_up_residual(sm)
+    if not residual <= spectrum.RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(sm.matrix.data))):
+        raise InvariantError(f"sample {index} (L={sites}, m={magnons}): uniform state residual {residual:.3e} at S_J")
+    spec = spectrum.diagonalize(sm)
+    cls = ladder.classify(spec, ladder.promotion_map(upper))
     expected, _ = ladder.expected_counts(sites, magnons)
     if cls.n_promoted != expected:
         raise InvariantError(

@@ -26,7 +26,7 @@ import numpy as np
 from .basis import build_basis
 from .couplings import sample_keys, sample_seed
 from .entanglement import concurrence_from_elements, pair_concurrence_bytes, pair_concurrences
-from .ladder import promotion_map
+from .ladder import promote, promotion_map
 
 RANDOM_1P = "random-1p"
 RANDOM_2P = "random-2p"
@@ -195,12 +195,12 @@ def sample_values(spec: EnsembleSpec, quantities: tuple[str, ...]) -> np.ndarray
         if quantity not in QUANTITIES:
             raise ValueError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     out = np.empty((len(quantities), spec.n_samples), dtype=np.float64)
-    pmap = None
+    raising = None
     basis = None
     if spec.pair_policy == "all":
         basis = build_basis(spec.sites, 1 if spec.kind == RANDOM_1P else 2)
         if spec.kind == RANDOM_PROMOTED_2P:
-            pmap = promotion_map(build_basis(spec.sites, 1), basis)
+            raising = promotion_map(basis)
 
     for lo in range(0, spec.n_samples, _CHUNK):
         hi = min(lo + _CHUNK, spec.n_samples)
@@ -218,10 +218,7 @@ def sample_values(spec: EnsembleSpec, quantities: tuple[str, ...]) -> np.ndarray
                 values[MEAN_CONCURRENCE] = conc
                 values[PROB_POSITIVE] = (conc > 0.0).astype(np.float64)
             else:
-                states = A
-                if spec.kind == RANDOM_PROMOTED_2P:
-                    states = pmap.apply(A)
-                    states /= np.linalg.norm(states, axis=0)
+                states = A if raising is None else promote(A, raising)
                 pc = pair_concurrences(basis, states)
                 values[MEAN_CONCURRENCE] = pc.mean(axis=0)
                 values[PROB_POSITIVE] = (pc > 0.0).mean(axis=0)

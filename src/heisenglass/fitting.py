@@ -91,13 +91,15 @@ def initial_guess(family: str, L: np.ndarray, y: np.ndarray) -> np.ndarray:
                 best = (rss, np.array([p0, q, r]))
         return best[1]
     if family == EXP_SATURATION:
-        p0 = y[np.argmax(L)]
-        gap = p0 - y
-        sign = 1.0 if gap.sum() >= 0 else -1.0
-        mag = np.maximum(np.abs(gap), 1e-12)
-        slope, intercept = np.polyfit(L, np.log(mag), 1)
-        r0 = -1.0 / slope if slope < 0 else float(L.max())
-        return np.array([p0, sign * np.exp(intercept), r0])
+        # scan a fixed r grid relative to the largest L, solving p and q linearly
+        best = (np.inf, None)
+        for r in L.max() * 2.0 ** np.arange(-4, 3):
+            design = np.column_stack([np.ones_like(L), -np.exp(-L / r)])
+            (p, q), *_ = np.linalg.lstsq(design, y, rcond=None)
+            rss = float(((y - design @ (p, q)) ** 2).sum())
+            if rss < best[0]:
+                best = (rss, np.array([p, q, r]))
+        return best[1]
     raise ValueError(f"unknown family {family!r}")
 
 

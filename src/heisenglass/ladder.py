@@ -18,13 +18,13 @@ numpy from the rank arithmetic of :func:`basis.cleared_ranks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 from scipy import sparse
 
-from .basis import SectorBasis, build_basis, cleared_ranks
+from .basis import SectorBasis, cleared_ranks
 from .spectrum import Spectrum, SpectrumError
 
 LADDER_TOL = 0.5
@@ -37,52 +37,31 @@ class ZeroPromotionError(ValueError):
     """sigma^+ annihilated the state, so no promoted state exists."""
 
 
-@dataclass
-class PromotionMap:
-    """Unnormalized sigma^+ from the m-magnon to the (m+1)-magnon sector.
+def promotion_map(target: SectorBasis) -> sparse.csr_array:
+    """Unnormalized sigma^+ from sector (L, m-1) into ``target`` = (L, m).
 
-    ``raising`` is the 0/1 CSR matrix R (target dim x source dim) whose
-    row t has a one at each pattern that the t-th target pattern becomes
-    with one up spin cleared, lowest site first.  sigma^+ is R, its
-    adjoint sigma^- is R^T.
+    The 0/1 CSR matrix R (C(L, m) x C(L, m-1)) whose row t has a one at
+    each pattern that the t-th target pattern becomes with one up spin
+    cleared, lowest site first.  sigma^+ is R, its adjoint sigma^- is R^T.
     """
-
-    source: SectorBasis
-    target: SectorBasis
-    raising: sparse.csr_array = field(repr=False)
-
-    def apply(self, coefficients: np.ndarray) -> np.ndarray:
-        """Raw sigma^+ on source-sector coefficients (columns allowed)."""
-        return self.raising @ np.asarray(coefficients, dtype=np.float64)
-
-    def apply_adjoint(self, coefficients: np.ndarray) -> np.ndarray:
-        """Raw sigma^- on target-sector coefficients (columns allowed)."""
-        return self.raising.T @ np.asarray(coefficients, dtype=np.float64)
-
-
-def promotion_map(source: SectorBasis, target: SectorBasis | None = None) -> PromotionMap:
-    if target is None:
-        target = build_basis(source.sites, source.magnons + 1)
-    if target.sites != source.sites or target.magnons != source.magnons + 1:
-        raise ValueError("target sector must have one more magnon on the same sites")
     # every target pattern has m set bits, so row t holds entries m*t .. m*t + m-1
     columns = cleared_ranks(target).ravel()
     indptr = np.arange(0, columns.size + 1, target.magnons)
-    raising = sparse.csr_array((np.ones(columns.size), columns, indptr), shape=(target.dim, source.dim))
-    return PromotionMap(source=source, target=target, raising=raising)
+    shape = (target.dim, comb(target.sites, target.magnons - 1))
+    return sparse.csr_array((np.ones(columns.size), columns, indptr), shape=shape)
 
 
-def promote(state, pmap: PromotionMap):
-    """Normalized sigma^+ |state>; raises ZeroPromotionError if annihilated."""
-    from .entanglement import DefiniteParticleState
+def promote(coefficients: np.ndarray, raising: sparse.csr_array) -> np.ndarray:
+    """Normalized sigma^+ of a vector or of each column of a matrix.
 
-    if (state.basis.sites, state.basis.magnons) != (pmap.source.sites, pmap.source.magnons):
-        raise ValueError("state does not live in the source sector of the map")
-    raw = pmap.apply(state.coefficients)
-    norm = float(np.linalg.norm(raw))
-    if norm < 1e-12:
+    Raises ZeroPromotionError if sigma^+ annihilates any column.
+    """
+    raw = raising @ np.asarray(coefficients, dtype=np.float64)
+    norm = np.linalg.norm(raw, axis=0)
+    if not np.all(norm >= 1e-12):
         raise ZeroPromotionError("state is annihilated by the raising operator")
-    return DefiniteParticleState(pmap.target, raw / norm)
+    raw /= norm
+    return raw
 
 
 @dataclass
@@ -112,21 +91,19 @@ class Classification:
         return float(np.abs(self.ladder_eigenvalues - self.ladder_integers).max(initial=0.0))
 
 
-def classify(spectrum: Spectrum, pmap: PromotionMap) -> Classification:
+def classify(spectrum: Spectrum, raising: sparse.csr_array) -> Classification:
     """Label each eigenstate by its sigma^+ sigma^- eigenvalue.
 
     Every eigenvector lies in one total-spin block, so no rotation inside
     degeneracy groups is needed: the value is the squared norm of
-    sigma^- |psi>, taken through the sparse matrix of ``pmap``, and a
+    sigma^- |psi>, taken as ``raising.T`` of :func:`promotion_map`, and a
     state is promoted when it exceeds ``LADDER_TOL``.  Each value must
     match the integer S(S+1) - M^2 + M of the state's block to within
     1e-8 * max(1, integer); otherwise SpectrumError is raised, since the
     vector then mixes total spins or carries the wrong block label.
     """
     b = spectrum.matrix.basis
-    if pmap.target.magnons != b.magnons:
-        raise ValueError("promotion map target must match the spectrum's sector")
-    lowered = pmap.apply_adjoint(spectrum.vectors)
+    lowered = raising.T @ spectrum.vectors
     values = np.einsum("ij,ij->j", lowered, lowered)
     m2 = 2 * b.magnons - b.sites  # 2M
     integers = (spectrum.two_s * (spectrum.two_s + 2) - m2 * m2 + 2 * m2) // 4

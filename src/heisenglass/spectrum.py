@@ -1,4 +1,4 @@
-"""Sector eigensolves by total spin, with deterministic conventions."""
+"""Sector eigensolves by total spin."""
 
 from __future__ import annotations
 
@@ -65,11 +65,10 @@ class SpectrumError(RuntimeError):
 class Spectrum:
     """Eigendecomposition of one sector matrix.
 
-    Eigenvalues ascend; eigenvector k is column k of ``vectors`` with
-    its largest-magnitude component made positive, and lies in the
-    total-spin block ``two_s[k]`` = 2S.  ``groups`` lists contiguous
-    (start, stop) index ranges of eigenvalues that chain together within
-    ``degtol`` = 1e-8 * max(1, ||H||_F).
+    Eigenvalues ascend; eigenvector k is column k of ``vectors`` and lies
+    in the total-spin block ``two_s[k]`` = 2S.  ``groups`` lists
+    contiguous (start, stop) index ranges of eigenvalues that chain
+    together within ``degtol`` = 1e-8 * max(1, ||H||_F).
     """
 
     matrix: SectorMatrix
@@ -89,19 +88,6 @@ class Spectrum:
             if b - a > 1:
                 mask[a:b] = True
         return mask
-
-
-def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns in place so the largest-|.| entry is positive.
-
-    Ties resolve to the lowest index via argmax, so the convention is
-    deterministic.
-    """
-    idx = np.abs(vectors).argmax(axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs
-    return vectors
 
 
 def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int, int]]:
@@ -161,7 +147,7 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     start = 0
     while solved:
         V = solved.pop(0)[1]
-        vectors[:, position[start : start + V.shape[1]]] = fix_signs(V)
+        vectors[:, position[start : start + V.shape[1]]] = V
         start += V.shape[1]
     gram = vectors.T @ vectors
     gram[np.diag_indices_from(gram)] -= 1.0

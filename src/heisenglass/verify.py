@@ -4,8 +4,6 @@ Every check recomputes its expectation through an independent route
 (full Pauli construction, general Wootters concurrence, Jacobi
 rotations, closed forms) rather than trusting the production kernels,
 so a silent regression in any kernel trips at least one named check.
-The ``tamper`` hook deliberately breaks one kernel to prove the checks
-can fail; it exists for the test suite and is never set by the CLI.
 """
 
 from __future__ import annotations
@@ -96,10 +94,9 @@ def _check_uniform_eigenstate() -> CheckResult:
 def _check_promotion_commutes() -> CheckResult:
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 5)
     b1, b2 = basis.build_basis(8, 1), basis.build_basis(8, 2)
-    pm = ladder.promotion_map(b1, b2)
     H1 = sector.assemble(cm, b1).matrix.toarray()
     H2 = sector.assemble(cm, b2).matrix.toarray()
-    P = pm.apply(np.eye(b1.dim))
+    P = ladder.promotion_map(b2).toarray()
     resid = float(np.abs(H2 @ P - P @ H1).max(initial=0.0))
     s1 = spectrum.diagonalize(sector.assemble(cm, b1))
     s2 = spectrum.diagonalize(sector.assemble(cm, b2))
@@ -108,7 +105,7 @@ def _check_promotion_commutes() -> CheckResult:
     return ("promotion-commutes", ok, f"commutator {resid:.2e}, containment {contained}")
 
 
-def _check_concurrence_oracle(tamper: str | None) -> CheckResult:
+def _check_concurrence_oracle() -> CheckResult:
     rng = np.random.Generator(np.random.Philox(42))
     worst = 0.0
     for _ in range(50):
@@ -118,8 +115,6 @@ def _check_concurrence_oracle(tamper: str | None) -> CheckResult:
         i, j = sorted(rng.choice(6, size=2, replace=False).tolist())
         rdm = entanglement.pair_rdm(state, int(i), int(j))
         shortcut = entanglement.concurrence(rdm)
-        if tamper == "concurrence":
-            shortcut = 2.0 * abs(rdm.z)  # broken on purpose: forgets sqrt(v y)
         worst = max(worst, abs(shortcut - wootters_concurrence(rdm.as_matrix())))
     return ("concurrence-wootters", worst <= 1e-10, f"max |shortcut - oracle| {worst:.2e}")
 
@@ -139,15 +134,13 @@ def _check_uniform_closed_forms() -> CheckResult:
 def _check_ipr_identity() -> CheckResult:
     rng = np.random.Generator(np.random.Philox(7))
     L = 12
-    b1 = basis.build_basis(L, 1)
-    pm = ladder.promotion_map(b1)
+    raising = ladder.promotion_map(basis.build_basis(L, 2))
     worst = 0.0
     for _ in range(20):
         a = rng.standard_normal(L)
         a -= a.mean()
         a /= np.linalg.norm(a)
-        st = entanglement.DefiniteParticleState(b1, a)
-        direct = entanglement.inverse_participation_ratio(ladder.promote(st, pm).coefficients)
+        direct = entanglement.inverse_participation_ratio(ladder.promote(a, raising))
         ipr1 = entanglement.inverse_participation_ratio(a)
         predicted = ((L - 8.0) * ipr1 + 3.0) / (L - 2.0) ** 2
         worst = max(worst, abs(direct - predicted))
@@ -156,12 +149,10 @@ def _check_ipr_identity() -> CheckResult:
 
 def _check_localized_bound() -> CheckResult:
     L = 10
-    b1 = basis.build_basis(L, 1)
-    pm = ladder.promotion_map(b1)
-    coeff = np.zeros(b1.dim)
+    b2 = basis.build_basis(L, 2)
+    coeff = np.zeros(L)
     coeff[3] = 1.0
-    promoted = ladder.promote(entanglement.DefiniteParticleState(b1, coeff), pm)
-    conc = entanglement.pair_concurrences(pm.target, promoted.coefficients)
+    conc = entanglement.pair_concurrences(b2, ladder.promote(coeff, ladder.promotion_map(b2)))
     bound = ladder.localized_promotion_bound(L)
     dev = max(
         abs(conc.mean() - bound.average_concurrence),
@@ -173,13 +164,12 @@ def _check_localized_bound() -> CheckResult:
 
 def _check_classification() -> CheckResult:
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 12, 21)
-    b1, b2 = basis.build_basis(12, 1), basis.build_basis(12, 2)
-    pm = ladder.promotion_map(b1, b2)
+    b2 = basis.build_basis(12, 2)
     spec = spectrum.diagonalize(sector.assemble(cm, b2))
     expected = ladder.expected_counts(12, 2)
     try:
         # classify raises unless every ladder value sits on its spin block's integer
-        cls = ladder.classify(spec, pm)
+        cls = ladder.classify(spec, ladder.promotion_map(b2))
     except spectrum.SpectrumError as err:
         return ("classification-counts", False, str(err))
     ok = (cls.n_promoted, cls.n_new) == expected
@@ -217,14 +207,15 @@ def _check_total_spin_blocks() -> CheckResult:
     Q = np.hstack(list(blocks.values()))
     ortho = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0))
     # sigma^+ sigma^- = S^2 - S_z^2 + S_z: the integer S(S+1) - M^2 + M on spin S
-    pm = ladder.promotion_map(basis.build_basis(L, m - 1), basis.build_basis(L, m))
+    b = basis.build_basis(L, m)
+    raising = ladder.promotion_map(b)
     m2 = 2 * m - L
     ladder_dev = 0.0
     for two_s, q in blocks.items():
         value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) // 4
-        ladder_dev = max(ladder_dev, float(np.abs(pm.apply(pm.apply_adjoint(q)) - value * q).max(initial=0.0)))
+        ladder_dev = max(ladder_dev, float(np.abs(raising @ (raising.T @ q) - value * q).max(initial=0.0)))
     cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 23)
-    H = sector.assemble(cm, pm.target).matrix.toarray()
+    H = sector.assemble(cm, b).matrix.toarray()
     projected = Q.T @ H @ Q
     start = 0
     for q in blocks.values():
@@ -253,16 +244,14 @@ def _check_estimate_determinism() -> CheckResult:
     return ("estimate-determinism", ok, f"mean {a.mean!r}")
 
 
-def run_checks(tamper: str | None = None) -> list[CheckResult]:
-    """Run every named check; ``tamper`` breaks one kernel on purpose."""
-    if tamper not in (None, "concurrence"):
-        raise ValueError(f"unknown tamper target {tamper!r}")
+def run_checks() -> list[CheckResult]:
+    """Run every named check."""
     return [
         _check_basis(),
         _check_sector_oracle(),
         _check_uniform_eigenstate(),
         _check_promotion_commutes(),
-        _check_concurrence_oracle(tamper),
+        _check_concurrence_oracle(),
         _check_uniform_closed_forms(),
         _check_ipr_identity(),
         _check_localized_bound(),

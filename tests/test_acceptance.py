@@ -76,12 +76,13 @@ def test_criterion_03_promotion_preserves_eigenpairs():
     for L in (8, 12):
         for seed in (0, 1):
             cm = couplings.sample_couplings(couplings.InfiniteRange(), L, seed)
-            pmap = ladder.promotion_map(basis.build_basis(L, 1), basis.build_basis(L, 2))
-            H2 = sector.assemble(cm, pmap.target).matrix.toarray()
-            s1 = spectrum.diagonalize(sector.assemble(cm, pmap.source))
-            s2 = spectrum.diagonalize(sector.assemble(cm, pmap.target))
+            b2 = basis.build_basis(L, 2)
+            raising = ladder.promotion_map(b2)
+            H2 = sector.assemble(cm, b2).matrix.toarray()
+            s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(L, 1)))
+            s2 = spectrum.diagonalize(sector.assemble(cm, b2))
             for k in range(s1.dim):
-                phi = pmap.apply(s1.vectors[:, k])
+                phi = raising @ s1.vectors[:, k]
                 phi /= np.linalg.norm(phi)
                 worst = max(worst, float(np.linalg.norm(H2 @ phi - s1.eigenvalues[k] * phi)))
             contained = contained and spectrum.contains_spectrum(s2.eigenvalues, s1.eigenvalues, 1e-9)
@@ -119,17 +120,16 @@ def test_criterion_04_concurrence_shortcut_and_closed_forms():
 
 def test_criterion_05_promoted_ipr_identity():
     rng = np.random.Generator(np.random.Philox(MASTER + 5))
-    pmaps: dict[int, ladder.PromotionMap] = {}
+    raising = {}  # L -> sigma^+ into the sector (L, 2)
 
     def promoted_ipr(L: int) -> tuple[float, float]:
-        if L not in pmaps:
-            pmaps[L] = ladder.promotion_map(basis.build_basis(L, 1), basis.build_basis(L, 2))
+        if L not in raising:
+            raising[L] = ladder.promotion_map(basis.build_basis(L, 2))
         a = rng.standard_normal(L)
         a -= a.mean()
         a /= np.linalg.norm(a)
-        state = entanglement.DefiniteParticleState(pmaps[L].source, a)
-        promoted = ladder.promote(state, pmaps[L])
-        return float(np.sum(a**4)), float(entanglement.inverse_participation_ratio(promoted.coefficients))
+        promoted = ladder.promote(a, raising[L])
+        return float(np.sum(a**4)), float(entanglement.inverse_participation_ratio(promoted))
 
     worst = 0.0
     for _ in range(1000):

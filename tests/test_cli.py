@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from heisenglass import cli, couplings, ensembles, ladder, spectrum, verify
+from heisenglass import cli, couplings, ensembles, entanglement, ladder, sector, spectrum, verify
 from heisenglass.cli import ConfigError, ExperimentConfig
 
 
@@ -304,14 +306,15 @@ def test_verify_command_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_negative_control():
-    results = verify.run_checks(tamper="concurrence")
+def test_verify_negative_control(monkeypatch):
+    # broken on purpose: the shortcut without its sqrt(v y) term
+    monkeypatch.setattr(entanglement, "concurrence", lambda rdm: 2.0 * abs(rdm.z))
+    results = verify.run_checks()
     failed = [name for name, ok, _ in results if not ok]
     assert failed == ["concurrence-wootters"]
+    assert len(results) == 14
     text = verify.report(results)
     assert "FAIL concurrence-wootters" in text
-    with pytest.raises(ValueError):
-        verify.run_checks(tamper="everything")
 
 
 def test_parse_helpers():
@@ -379,6 +382,24 @@ def test_promoted_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "failure: sample 0" in err
     assert "0 promoted states, expected 8" in err
+    assert not (tmp_path / "spectrum_report.csv").exists()
+
+
+def test_shifted_uniform_eigenvalue_exits_one(tmp_path, capsys, monkeypatch):
+    # H + 1 keeps the spin symmetry, every eigenpair and every ladder label,
+    # but moves the uniform state's eigenvalue off S_J
+    assemble = sector.assemble
+
+    def shifted(cm, b):
+        sm = assemble(cm, b)
+        return dataclasses.replace(sm, matrix=sparse.csr_array(sm.matrix + sparse.eye_array(sm.dim)))
+
+    monkeypatch.setattr(sector, "assemble", shifted)
+    rc = cli.main(["spectrum-report", "-L", "8", "-m", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "failure: sample 0" in err
+    assert "uniform state residual" in err
     assert not (tmp_path / "spectrum_report.csv").exists()
 
 

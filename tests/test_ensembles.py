@@ -28,12 +28,12 @@ def _spec(kind, sites=12, n=120, seed=4, **kw):
 def _sample_state(spec, index):
     """Sample ``index`` materialized over its sector basis, promoted through sigma^+ where the kind says so."""
     a = ensembles._draw_seed_vectors(spec, index, index + 1)[:, 0]
-    if spec.kind == RANDOM_2P:
-        return entanglement.DefiniteParticleState(build_basis(spec.sites, 2), a)
-    one = entanglement.DefiniteParticleState(build_basis(spec.sites, 1), a)
     if spec.kind == RANDOM_1P:
-        return one
-    return promote(one, promotion_map(one.basis))
+        return entanglement.DefiniteParticleState(build_basis(spec.sites, 1), a)
+    b2 = build_basis(spec.sites, 2)
+    if spec.kind == RANDOM_PROMOTED_2P:
+        a = promote(a, promotion_map(b2))
+    return entanglement.DefiniteParticleState(b2, a)
 
 
 @pytest.mark.parametrize("kind", KINDS)

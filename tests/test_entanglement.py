@@ -225,15 +225,13 @@ def test_participation_ratio_limits():
 
 def test_promoted_ipr_exact_twelfth_at_eight_sites():
     L = 8
-    b1 = basis.build_basis(L, 1)
-    pmap = ladder.promotion_map(b1)
+    raising = ladder.promotion_map(basis.build_basis(L, 2))
     rng = np.random.Generator(np.random.Philox(37))
     for _ in range(20):
         a = rng.standard_normal(L)
         a -= a.mean()
         a /= np.linalg.norm(a)
-        promoted = ladder.promote(entanglement.DefiniteParticleState(b1, a), pmap)
-        ipr = entanglement.inverse_participation_ratio(promoted.coefficients)
+        ipr = entanglement.inverse_participation_ratio(ladder.promote(a, raising))
         assert ipr == pytest.approx(1.0 / 12.0, abs=1e-15)
 
 

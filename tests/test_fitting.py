@@ -138,3 +138,19 @@ def test_result_serialization_roundtrip():
 def test_names_property():
     y = model_value(POWER_LAW, TRUTH[POWER_LAW], L_GRID)
     assert fit(POWER_LAW, L_GRID, y).names == ("b", "a")
+
+
+def test_exp_saturation_with_zero_gap_at_largest_size():
+    # the last two points are equal, so y(L_max) - y is 0 there
+    L = np.array([8.0, 10.0, 12.0, 14.0, 16.0])
+    y = np.array([0.1, 0.3, 0.4, 0.45, 0.45])
+    result = fit(EXP_SATURATION, L, y)
+    # reference: p and q solved linearly on a fine grid of r
+    scan = []
+    for r in np.geomspace(0.5, 200.0, 4001):
+        design = np.column_stack([np.ones_like(L), -np.exp(-L / r)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        scan.append(float(((y - design @ coef) ** 2).sum()))
+    assert result.converged
+    assert result.rss <= min(scan) * (1.0 + 1e-6)
+    assert np.all(np.isfinite(result.parameters)) and abs(result.parameters[1]) < 1e3

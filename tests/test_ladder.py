@@ -7,72 +7,69 @@ import pytest
 from heisenglass import basis, couplings, entanglement, ladder, sector, spectrum
 
 
-def _promotion(sites, magnons):
-    return ladder.promotion_map(basis.build_basis(sites, magnons), basis.build_basis(sites, magnons + 1))
+def _raising(sites, magnons):
+    """The (sites, magnons) sector and sigma^+ into it from magnons - 1."""
+    target = basis.build_basis(sites, magnons)
+    return target, ladder.promotion_map(target)
 
 
-def _zero_sum_state(sites, seed):
+def _zero_sum_seed(sites, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     a = rng.standard_normal(sites)
     a -= a.mean()
-    a /= np.linalg.norm(a)
-    return entanglement.DefiniteParticleState(basis.build_basis(sites, 1), a)
+    return a / np.linalg.norm(a)
 
 
 def _classified(model, sites, magnons, seed):
     cm = couplings.sample_couplings(model, sites, seed)
-    pmap = _promotion(sites, magnons - 1)
-    spec = spectrum.diagonalize(sector.assemble(cm, pmap.target))
-    return spec, pmap, ladder.classify(spec, pmap)
+    target, raising = _raising(sites, magnons)
+    spec = spectrum.diagonalize(sector.assemble(cm, target))
+    return spec, raising, ladder.classify(spec, raising)
 
 
 def test_promote_vacuum_gives_all_one():
-    pmap = _promotion(6, 0)
-    vacuum = entanglement.DefiniteParticleState(basis.build_basis(6, 0), np.ones(1))
-    promoted = ladder.promote(vacuum, pmap)
-    assert np.abs(promoted.coefficients - 1.0 / sqrt(6)).max() <= 1e-15
+    _, raising = _raising(6, 1)
+    promoted = ladder.promote(np.ones(1), raising)
+    assert np.abs(promoted - 1.0 / sqrt(6)).max() <= 1e-15
 
 
 def test_promote_zero_sum_coefficients():
     sites = 9
-    state = _zero_sum_state(sites, 3)
-    promoted = ladder.promote(state, _promotion(sites, 1))
-    a = state.coefficients
+    a = _zero_sum_seed(sites, 3)
+    b2, raising = _raising(sites, 2)
+    promoted = ladder.promote(a, raising)
     expected = np.array(
         [(a[i] + a[j]) / sqrt(sites - 2) for i in range(sites) for j in range(i + 1, sites)]
     )
     # basis patterns list (i, j) pairs in ascending-integer order: j outer, i inner
-    b2 = promoted.basis
     direct = np.empty(b2.dim)
     for k, s in enumerate(b2.states):
         i, j = [t for t in range(sites) if (s >> t) & 1]
         direct[k] = (a[i] + a[j]) / sqrt(sites - 2)
-    assert np.abs(promoted.coefficients - direct).max() <= 1e-14
-    assert np.allclose(np.sort(promoted.coefficients), np.sort(expected), atol=1e-14)
+    assert np.abs(promoted - direct).max() <= 1e-14
+    assert np.allclose(np.sort(promoted), np.sort(expected), atol=1e-14)
 
 
 def test_promote_basis_state():
     sites = 8
-    b1 = basis.build_basis(sites, 1)
     coeff = np.zeros(sites)
     coeff[0] = 1.0
-    promoted = ladder.promote(entanglement.DefiniteParticleState(b1, coeff), _promotion(sites, 1))
-    nonzero = promoted.coefficients[promoted.coefficients != 0]
+    promoted = ladder.promote(coeff, _raising(sites, 2)[1])
+    nonzero = promoted[promoted != 0]
     assert nonzero.size == sites - 1
     assert np.abs(nonzero - 1.0 / sqrt(sites - 1)).max() <= 1e-15
-    ipr = entanglement.inverse_participation_ratio(promoted.coefficients)
+    ipr = entanglement.inverse_participation_ratio(promoted)
     assert ipr == pytest.approx(1.0 / (sites - 1), abs=1e-12)
 
 
 def test_promoted_eigenstates_stay_eigenstates():
     sites = 8
     cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, 5)
-    pmap = _promotion(sites, 1)
-    H1 = sector.assemble(cm, pmap.source).matrix.toarray()
-    H2 = sector.assemble(cm, pmap.target).matrix.toarray()
-    s1 = spectrum.diagonalize(sector.assemble(cm, pmap.source))
+    b2, raising = _raising(sites, 2)
+    H2 = sector.assemble(cm, b2).matrix.toarray()
+    s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(sites, 1)))
     for k in range(s1.dim):
-        phi = pmap.apply(s1.vectors[:, k])
+        phi = raising @ s1.vectors[:, k]
         phi /= np.linalg.norm(phi)
         assert np.linalg.norm(H2 @ phi - s1.eigenvalues[k] * phi) <= 1e-9
 
@@ -81,38 +78,36 @@ def test_promotion_matrix_against_brute_force():
     # every sector up to L=10 (m-1 = 0, 2m > L, m = L) and an L=70 sector, wider than 64 bits
     sectors = [(sites, m) for sites in range(1, 11) for m in range(1, sites + 1)] + [(70, 2)]
     for sites, m in sectors:
-        pmap = _promotion(sites, m - 1)
-        P = pmap.apply(np.eye(pmap.source.dim))
-        expected = np.zeros_like(P)
+        target, raising = _raising(sites, m)
+        P = raising.toarray()
+        expected = np.zeros((comb(sites, m), comb(sites, m - 1)))
         order = []  # parents of each target row, lowest cleared site first
-        for t, pattern in enumerate(pmap.target.states):
+        for t, pattern in enumerate(target.states):
             for b in range(sites):
                 if (pattern >> b) & 1:
                     parent = basis.rank(sites, m - 1, pattern & ~(1 << b))
                     expected[t, parent] += 1.0
                     order.append(parent)
         assert np.array_equal(P, expected), (sites, m)
-        assert np.array_equal(pmap.apply_adjoint(np.eye(pmap.target.dim)), expected.T), (sites, m)
-        assert np.array_equal(pmap.raising.indices, order), (sites, m)
+        assert np.array_equal(raising.T @ np.eye(target.dim), expected.T), (sites, m)
+        assert np.array_equal(raising.indices, order), (sites, m)
 
 
 def test_lower_promote_vacuum_roundtrip():
-    pmap = _promotion(7, 0)
-    vacuum = entanglement.DefiniteParticleState(basis.build_basis(7, 0), np.ones(1))
-    promoted = ladder.promote(vacuum, pmap)
-    back = pmap.apply_adjoint(promoted.coefficients)
+    _, raising = _raising(7, 1)
+    back = raising.T @ ladder.promote(np.ones(1), raising)
     assert back.shape == (1,)
     assert back[0] == pytest.approx(sqrt(7), abs=1e-12)
 
 
 def test_adjoint_identity():
-    pmap = _promotion(10, 2)
+    _, raising = _raising(10, 3)
     rng = np.random.Generator(np.random.Philox(11))
     for _ in range(5):
-        psi = rng.standard_normal(pmap.source.dim)
-        phi = rng.standard_normal(pmap.target.dim)
-        lhs = float(phi @ pmap.apply(psi))
-        rhs = float(pmap.apply_adjoint(phi) @ psi)
+        psi = rng.standard_normal(comb(10, 2))
+        phi = rng.standard_normal(comb(10, 3))
+        lhs = float(phi @ (raising @ psi))
+        rhs = float((raising.T @ phi) @ psi)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -121,27 +116,43 @@ def test_commutes_with_hamiltonian_on_random_vectors():
     cm = couplings.sample_couplings(couplings.PowerLaw(0.5), sites, 2)
     rng = np.random.Generator(np.random.Philox(13))
     for magnons in (1, 2):
-        pmap = _promotion(sites, magnons)
-        H_lo = sector.assemble(cm, pmap.source).matrix.toarray()
-        H_hi = sector.assemble(cm, pmap.target).matrix.toarray()
-        psi = rng.standard_normal(pmap.source.dim)
-        assert np.linalg.norm(H_hi @ pmap.apply(psi) - pmap.apply(H_lo @ psi)) <= 1e-9
+        b_hi, raising = _raising(sites, magnons + 1)
+        b_lo = basis.build_basis(sites, magnons)
+        H_lo = sector.assemble(cm, b_lo).matrix.toarray()
+        H_hi = sector.assemble(cm, b_hi).matrix.toarray()
+        psi = rng.standard_normal(b_lo.dim)
+        assert np.linalg.norm(H_hi @ (raising @ psi) - raising @ (H_lo @ psi)) <= 1e-9
 
 
 def test_promote_annihilated_state_raises():
-    b3 = basis.build_basis(4, 3)
-    pmap = ladder.promotion_map(b3, basis.build_basis(4, 4))
+    _, raising = _raising(4, 4)
     coeff = np.zeros(4)
     coeff[0], coeff[1] = 1.0 / sqrt(2), -1.0 / sqrt(2)
     with pytest.raises(ladder.ZeroPromotionError):
-        ladder.promote(entanglement.DefiniteParticleState(b3, coeff), pmap)
+        ladder.promote(coeff, raising)
+
+
+def test_promote_columns_one_at_a_time_and_rejects_an_annihilated_column():
+    sites = 9
+    _, raising = _raising(sites, 2)
+    A = np.column_stack([_zero_sum_seed(sites, seed) for seed in range(5)])
+    together = ladder.promote(A, raising)
+    for k in range(A.shape[1]):
+        assert np.abs(together[:, k] - ladder.promote(A[:, k], raising)).max() <= 1e-15
+        assert np.linalg.norm(together[:, k]) == pytest.approx(1.0, abs=1e-15)
+    # into the full sector (4, 4) sigma^+ sums the coefficients: a zero sum is annihilated
+    _, full = _raising(4, 4)
+    B = np.array([[1.0, 0.5], [-1.0, 0.5], [0.0, 0.5], [0.0, 0.5]])
+    assert ladder.promote(B[:, 1:], full)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ladder.ZeroPromotionError):
+        ladder.promote(B, full)
 
 
 def test_promote_rejects_wrong_sector():
-    pmap = _promotion(6, 1)
+    _, raising = _raising(6, 2)
     stray = entanglement.DefiniteParticleState.uniform(basis.build_basis(6, 2))
     with pytest.raises(ValueError):
-        ladder.promote(stray, pmap)
+        ladder.promote(stray.coefficients, raising)
 
 
 def test_classification_counts_large_sector():
@@ -152,8 +163,8 @@ def test_classification_counts_large_sector():
 
 
 def test_new_states_are_annihilated_by_lowering():
-    spec, pmap, cls = _classified(couplings.InfiniteRange(), 10, 2, 7)
-    lowered = pmap.apply_adjoint(spec.vectors)
+    spec, raising, cls = _classified(couplings.InfiniteRange(), 10, 2, 7)
+    lowered = raising.T @ spec.vectors
     norms = np.linalg.norm(lowered, axis=0)
     assert norms[cls.labels == ladder.NEW].max() <= 1e-8
     assert norms[cls.labels == ladder.PROMOTED].min() >= 1.0
@@ -182,56 +193,55 @@ def _two_block_columns(spec):
 
 
 def test_classify_rejects_swapped_block_labels():
-    spec, pmap, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    spec, raising, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
     i, j = _two_block_columns(spec)
     two_s = spec.two_s.copy()
     two_s[[i, j]] = two_s[[j, i]]
     with pytest.raises(spectrum.SpectrumError, match="integer of its spin block"):
-        ladder.classify(dataclasses.replace(spec, two_s=two_s), pmap)
+        ladder.classify(dataclasses.replace(spec, two_s=two_s), raising)
 
 
 def test_classify_rejects_vector_mixing_two_spins():
-    spec, pmap, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    spec, raising, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
     i, j = _two_block_columns(spec)
     vectors = spec.vectors.copy()
     a, b = spec.vectors[:, i], spec.vectors[:, j]
     vectors[:, i], vectors[:, j] = (a + b) / sqrt(2), (a - b) / sqrt(2)  # still orthonormal
     with pytest.raises(spectrum.SpectrumError, match="integer of its spin block"):
-        ladder.classify(dataclasses.replace(spec, vectors=vectors), pmap)
+        ladder.classify(dataclasses.replace(spec, vectors=vectors), raising)
 
 
 def test_all_one_state_classified_promoted():
     sites = 10
     cm = couplings.sample_couplings(couplings.NearestNeighbour(), sites, 3)
-    pmap = _promotion(sites, 1)
-    spec = spectrum.diagonalize(sector.assemble(cm, pmap.target))
-    cls = ladder.classify(spec, pmap)
+    b2, raising = _raising(sites, 2)
+    spec = spectrum.diagonalize(sector.assemble(cm, b2))
+    cls = ladder.classify(spec, raising)
     k = int(np.argmin(np.abs(spec.eigenvalues - cm.coupling_sum())))
     assert cls.labels[k] == ladder.PROMOTED
     # direct double promotion gives the same sigma+ sigma- eigenvalue
-    uniform = entanglement.DefiniteParticleState.uniform(pmap.target)
-    direct = float(np.sum(pmap.apply_adjoint(uniform.coefficients) ** 2))
+    uniform = entanglement.DefiniteParticleState.uniform(b2)
+    direct = float(np.sum((raising.T @ uniform.coefficients) ** 2))
     assert cls.ladder_eigenvalues[k] == pytest.approx(direct, abs=1e-8)
     assert direct == pytest.approx(2.0 * (sites - 1), abs=1e-10)
 
 
 def test_synthetic_orthogonal_state_is_new():
-    pmap = _promotion(9, 1)
-    P = pmap.apply(np.eye(pmap.source.dim))
-    Q, _ = np.linalg.qr(P)
+    b2, raising = _raising(9, 2)
+    Q, _ = np.linalg.qr(raising.toarray())
     rng = np.random.Generator(np.random.Philox(21))
-    w = rng.standard_normal(pmap.target.dim)
+    w = rng.standard_normal(b2.dim)
     w -= Q @ (Q.T @ w)
     w /= np.linalg.norm(w)
-    assert np.linalg.norm(pmap.apply_adjoint(w)) <= 1e-10
+    assert np.linalg.norm(raising.T @ w) <= 1e-10
 
 
 def test_labels_invariant_under_coupling_rescale():
     cm = couplings.sample_couplings(couplings.InfiniteRange(), 10, 15)
-    pmap = _promotion(10, 1)
-    cls_a = ladder.classify(spectrum.diagonalize(sector.assemble(cm, pmap.target)), pmap)
+    b2, raising = _raising(10, 2)
+    cls_a = ladder.classify(spectrum.diagonalize(sector.assemble(cm, b2)), raising)
     scaled = couplings.CouplingMatrix(cm.model, cm.sites, 3.7 * cm.J)
-    cls_b = ladder.classify(spectrum.diagonalize(sector.assemble(scaled, pmap.target)), pmap)
+    cls_b = ladder.classify(spectrum.diagonalize(sector.assemble(scaled, b2)), raising)
     assert np.array_equal(cls_a.labels, cls_b.labels)
 
 
@@ -260,11 +270,10 @@ def test_localized_bound_values():
 
 def test_localized_bound_matches_direct_promotion():
     sites = 10
-    b1 = basis.build_basis(sites, 1)
+    b2, raising = _raising(sites, 2)
     coeff = np.zeros(sites)
     coeff[0] = 1.0
-    promoted = ladder.promote(entanglement.DefiniteParticleState(b1, coeff), _promotion(sites, 1))
-    conc = entanglement.pair_concurrences(promoted.basis, promoted.coefficients)
+    conc = entanglement.pair_concurrences(b2, ladder.promote(coeff, raising))
     bound = ladder.localized_promotion_bound(sites)
     assert conc.mean() == pytest.approx(bound.average_concurrence, abs=1e-12)
     assert (conc > 0).mean() == pytest.approx(bound.probability, abs=1e-15)
