@@ -14,14 +14,7 @@ from .couplings import (
     PowerLaw,
     sample_couplings,
 )
-from .entanglement import (
-    DefiniteParticleState,
-    PairRDM,
-    average_concurrence,
-    concurrence,
-    pair_concurrences,
-    pair_rdm,
-)
+from .entanglement import pair_concurrences
 from .ladder import Classification, classify, promote, promotion_map
 from .sector import SectorMatrix, assemble
 from .spectrum import Spectrum, diagonalize
@@ -38,12 +31,7 @@ __all__ = [
     "NearestNeighbour",
     "PowerLaw",
     "sample_couplings",
-    "DefiniteParticleState",
-    "PairRDM",
-    "average_concurrence",
-    "concurrence",
     "pair_concurrences",
-    "pair_rdm",
     "Classification",
     "classify",
     "promote",

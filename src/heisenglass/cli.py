@@ -179,7 +179,7 @@ def eigenstate_sample(
     return StateArrays(
         eigenvalue=spec.eigenvalues,
         e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
-        avg_concurrence=entanglement.average_concurrence_columns(upper, spec.vectors),
+        avg_concurrence=entanglement.pair_concurrences(upper, spec.vectors).mean(axis=0),
         participation=entanglement.participation_ratio(spec.vectors),
         promoted=cls.labels,
         degenerate=spec.degenerate_mask().astype(np.int64),
@@ -291,7 +291,7 @@ def _reference_rows(sites: tuple[int, ...]) -> list[ensembles.MCEstimate]:
         bound = ladder.localized_promotion_bound(L)
         forms = ensembles.closed_forms(L)
         for quantity, value in (
-            ("bound-average-concurrence", bound.average_concurrence),
+            ("bound-average-concurrence", bound.mean_concurrence),
             ("bound-prob-positive", bound.probability),
             ("reference-promoted-concurrence", forms.mean_concurrence_promoted2p),
             ("reference-random2p-concurrence", forms.mean_concurrence_random2p),

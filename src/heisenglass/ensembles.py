@@ -25,7 +25,12 @@ import numpy as np
 
 from .basis import build_basis
 from .couplings import sample_keys, sample_seed
-from .entanglement import concurrence_from_elements, pair_concurrence_bytes, pair_concurrences
+from .entanglement import (
+    concurrence_from_elements,
+    inverse_participation_ratio,
+    pair_concurrence_bytes,
+    pair_concurrences,
+)
 from .ladder import promote, promotion_map
 
 RANDOM_1P = "random-1p"
@@ -210,7 +215,7 @@ def sample_values(spec: EnsembleSpec, quantities: tuple[str, ...]) -> np.ndarray
             if spec.kind == RANDOM_PROMOTED_2P:
                 values[MEAN_IPR] = _promoted_ipr(A, spec.sites)
             else:
-                values[MEAN_IPR] = (A**4).sum(axis=0)
+                values[MEAN_IPR] = inverse_participation_ratio(A)
         if MEAN_CONCURRENCE in quantities or PROB_POSITIVE in quantities:
             if spec.pair_policy == "single":
                 v, y, z = _pair01_elements(spec, A)

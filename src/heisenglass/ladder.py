@@ -139,7 +139,7 @@ class LocalizedBound:
 
     probability: float
     pair_concurrence: float
-    average_concurrence: float
+    mean_concurrence: float
 
 
 def localized_promotion_bound(sites: int) -> LocalizedBound:
@@ -157,5 +157,5 @@ def localized_promotion_bound(sites: int) -> LocalizedBound:
     return LocalizedBound(
         probability=probability,
         pair_concurrence=pair,
-        average_concurrence=pair * probability,
+        mean_concurrence=pair * probability,
     )

@@ -1,9 +1,10 @@
 """Self-contained invariant and oracle checks at small system sizes.
 
 Every check recomputes its expectation through an independent route
-(full Pauli construction, general Wootters concurrence, Jacobi
-rotations, closed forms) rather than trusting the production kernels,
-so a silent regression in any kernel trips at least one named check.
+(full Pauli construction, general Wootters concurrence on full-space
+partial traces, Jacobi rotations, closed forms) rather than trusting
+the production kernels, so a silent regression in any kernel trips at
+least one named check.
 """
 
 from __future__ import annotations
@@ -34,6 +35,41 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def embed_full_space(b: basis.SectorBasis, coefficients: np.ndarray) -> np.ndarray:
+    """Sector coefficients -> full 2^L vector (bit k of the index = site k)."""
+    full = np.zeros(2**b.sites)
+    full[np.fromiter(b.states, dtype=np.int64)] = coefficients
+    return full
+
+
+def two_site_rdm(psi_full: np.ndarray, sites: int, i: int, j: int) -> np.ndarray:
+    """4x4 pair RDM of a full-space pure state, (uu, ud, du, dd) ordered.
+
+    Reshape to one axis per site (axis L-1-k holds bit k), pull the pair
+    to the front, and contract the rest.  The row index 2*s_i + s_j runs
+    (dd, du, ud, uu), so both axes are reversed at the end.
+    """
+    t = psi_full.reshape((2,) * sites)
+    t = np.moveaxis(t, (sites - 1 - i, sites - 1 - j), (0, 1))
+    m = t.reshape(4, -1)
+    rho = m @ m.T
+    return rho[::-1, ::-1]
+
+
+def kernel_wootters_deviation(b: basis.SectorBasis, coefficients: np.ndarray) -> float:
+    """Largest |pair_concurrences - Wootters| over all pairs of one state.
+
+    The oracle side embeds the state in the full 2^L space, traces out
+    all but each pair and applies :func:`wootters_concurrence`; it
+    shares no code with the kernel.
+    """
+    kernel = entanglement.pair_concurrences(b, coefficients)
+    psi = embed_full_space(b, coefficients)
+    first, second = np.triu_indices(b.sites, k=1)
+    oracle = [wootters_concurrence(two_site_rdm(psi, b.sites, i, j)) for i, j in zip(first, second)]
+    return float(np.abs(kernel - oracle).max(initial=0.0))
+
+
 def jacobi_eigenvalues(A: np.ndarray, sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     A = np.array(A, dtype=np.float64)
@@ -54,10 +90,6 @@ def jacobi_eigenvalues(A: np.ndarray, sweeps: int = 60) -> np.ndarray:
                 rot[q, p] = -s
                 A = rot.T @ A @ rot
     return np.sort(np.diag(A))
-
-
-def _random_state(rng: np.random.Generator, b: basis.SectorBasis) -> entanglement.DefiniteParticleState:
-    return entanglement.DefiniteParticleState.normalized(b, rng.standard_normal(b.dim))
 
 
 def _check_basis() -> CheckResult:
@@ -109,25 +141,26 @@ def _check_concurrence_oracle() -> CheckResult:
     rng = np.random.Generator(np.random.Philox(42))
     worst = 0.0
     for _ in range(50):
-        m = int(rng.integers(1, 4))
-        b = basis.build_basis(6, m)
-        state = _random_state(rng, b)
-        i, j = sorted(rng.choice(6, size=2, replace=False).tolist())
-        rdm = entanglement.pair_rdm(state, int(i), int(j))
-        shortcut = entanglement.concurrence(rdm)
-        worst = max(worst, abs(shortcut - wootters_concurrence(rdm.as_matrix())))
-    return ("concurrence-wootters", worst <= 1e-10, f"max |shortcut - oracle| {worst:.2e}")
+        b = basis.build_basis(6, int(rng.integers(1, 4)))
+        a = rng.standard_normal(b.dim)
+        worst = max(worst, kernel_wootters_deviation(b, a / np.linalg.norm(a)))
+    return ("concurrence-wootters", worst <= 1e-10, f"max |kernel - oracle| {worst:.2e} over all pairs")
 
 
 def _check_uniform_closed_forms() -> CheckResult:
     worst = 0.0
     for L in (4, 8, 16):
-        u1 = entanglement.DefiniteParticleState.uniform(basis.build_basis(L, 1))
-        c1 = entanglement.concurrence(entanglement.pair_rdm(u1, 0, 1))
-        worst = max(worst, abs(c1 - 2.0 / L))
-        u2 = entanglement.DefiniteParticleState.uniform(basis.build_basis(L, 2))
-        c2 = entanglement.average_concurrence(u2)
-        worst = max(worst, abs(c2 - ensembles.uniform_avg_concurrence_2p(L)))
+        b1, b2 = basis.build_basis(L, 1), basis.build_basis(L, 2)
+        u1, u2 = np.full(b1.dim, b1.dim**-0.5), np.full(b2.dim, b2.dim**-0.5)
+        c1 = entanglement.pair_concurrences(b1, u1)
+        c2 = entanglement.pair_concurrences(b2, u2).mean()
+        worst = max(
+            worst,
+            float(np.abs(c1 - 2.0 / L).max()),
+            abs(c2 - ensembles.uniform_avg_concurrence_2p(L)),
+            kernel_wootters_deviation(b1, u1),
+            kernel_wootters_deviation(b2, u2),
+        )
     return ("uniform-closed-forms", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
@@ -155,7 +188,7 @@ def _check_localized_bound() -> CheckResult:
     conc = entanglement.pair_concurrences(b2, ladder.promote(coeff, ladder.promotion_map(b2)))
     bound = ladder.localized_promotion_bound(L)
     dev = max(
-        abs(conc.mean() - bound.average_concurrence),
+        abs(conc.mean() - bound.mean_concurrence),
         abs((conc > 0).mean() - bound.probability),
         abs(conc.max() - bound.pair_concurrence),
     )

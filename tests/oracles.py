@@ -1,9 +1,12 @@
 """Independent recomputation routes used only by the tests.
 
-Nothing here shares code with the production kernels: reduced density
-matrices come from a full-space partial trace, pair connectivity from a
-quadratic scan, Jacobians from finite differences, the promoted
-concurrence constant from quadrature.
+Nothing here shares code with the production kernels: pair
+reduced-density-matrix elements come from masked sums over the
+occupancy columns, pair connectivity from a quadratic scan, Jacobians
+from finite differences, the promoted concurrence constant from
+quadrature.  The full-space partial trace and the Wootters concurrence
+live in :mod:`heisenglass.verify`, which runs them against the kernels
+at every ``heisenglass verify``; the tests import them from there.
 """
 
 from __future__ import annotations
@@ -19,30 +22,31 @@ from heisenglass import fitting
 from heisenglass.basis import SectorBasis
 
 
-def embed_full_space(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarray:
-    """Sector coefficients -> full 2^L vector (bit k of the index = site k)."""
-    full = np.zeros(2**basis.sites)
-    full[np.fromiter(basis.states, dtype=np.int64)] = coefficients
-    return full
-
-
 def site_pairs(sites: int) -> list[tuple[int, int]]:
     """All pairs (i, j), i < j, in lexicographic order."""
     return [(i, j) for i in range(sites) for j in range(i + 1, sites)]
 
 
-def pair_rdm_by_partial_trace(psi_full: np.ndarray, sites: int, i: int, j: int) -> np.ndarray:
-    """4x4 pair RDM of a full-space pure state, (uu, ud, du, dd) ordered.
+def pair_elements_by_masks(
+    basis: SectorBasis, coefficients: np.ndarray, i: int, j: int
+) -> tuple[np.ndarray, ...]:
+    """(v, w, x, y, z) of pair (i, j), vectorized over column states.
 
-    Reshape to one axis per site (axis L-1-k holds bit k), pull the pair
-    to the front, and contract the rest.  The row index 2*s_i + s_j runs
-    (dd, du, ud, uu), so both axes are reversed at the end.
+    Masks of the occupancy columns split the rows into both-up (v),
+    (i up, j down) (w), (i down, j up) (x) and both-down (y); the t-th
+    row of the (i up, j down) group swaps into the t-th row of the
+    (i down, j up) group, so z is their aligned product sum.
     """
-    t = psi_full.reshape((2,) * sites)
-    t = np.moveaxis(t, (sites - 1 - i, sites - 1 - j), (0, 1))
-    m = t.reshape(4, -1)
-    rho = m @ m.T
-    return rho[::-1, ::-1]
+    a = np.asarray(coefficients, dtype=np.float64)
+    ui, uj = basis.occupancy[:, i], basis.occupancy[:, j]
+    ud, du = ui & ~uj, ~ui & uj
+    sq = a * a
+    v = sq[ui & uj].sum(axis=0)
+    w = sq[ud].sum(axis=0)
+    x = sq[du].sum(axis=0)
+    y = sq[~(ui | uj)].sum(axis=0)
+    z = (a[ud] * a[du]).sum(axis=0)
+    return v, w, x, y, z
 
 
 def brute_pair_partners(states: list[int], i: int, j: int) -> list[tuple[int, int]]:

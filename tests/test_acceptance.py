@@ -91,31 +91,33 @@ def test_criterion_03_promotion_preserves_eigenpairs():
 
 
 def test_criterion_04_concurrence_shortcut_and_closed_forms():
+    # the kernel row of the drawn pair against Wootters on the full-space partial trace
     rng = np.random.Generator(np.random.Philox(MASTER + 4))
     worst_pair = 0.0
     for _ in range(1000):
         L = int(rng.integers(3, 9))
         m = int(rng.integers(1, min(3, L - 1) + 1))
         b = basis.build_basis(L, m)
-        state = entanglement.DefiniteParticleState.normalized(b, rng.standard_normal(b.dim))
+        a = rng.standard_normal(b.dim)
+        a /= np.linalg.norm(a)
         i, j = sorted(int(t) for t in rng.choice(L, size=2, replace=False))
-        rdm = entanglement.pair_rdm(state, i, j)
-        gap = abs(entanglement.concurrence(rdm) - verify.wootters_concurrence(rdm.as_matrix()))
-        worst_pair = max(worst_pair, gap)
+        kernel = entanglement.pair_concurrences(b, a)[oracles.site_pairs(L).index((i, j))]
+        rho = verify.two_site_rdm(verify.embed_full_space(b, a), L, i, j)
+        worst_pair = max(worst_pair, abs(kernel - verify.wootters_concurrence(rho)))
 
     worst_form = 0.0
     for L in range(3, 65):
-        u1 = entanglement.DefiniteParticleState.uniform(basis.build_basis(L, 1))
-        conc = entanglement.pair_concurrences(u1.basis, u1.coefficients)
+        b1 = basis.build_basis(L, 1)
+        conc = entanglement.pair_concurrences(b1, np.full(b1.dim, b1.dim**-0.5))
         worst_form = max(worst_form, float(np.abs(conc - 2.0 / L).max()))
     for L in (4, 8, 16, 25, 32, 48, 64):
-        u2 = entanglement.DefiniteParticleState.uniform(basis.build_basis(L, 2))
-        gap = abs(entanglement.average_concurrence(u2) - ensembles.uniform_avg_concurrence_2p(L))
-        worst_form = max(worst_form, gap)
+        b2 = basis.build_basis(L, 2)
+        average = entanglement.pair_concurrences(b2, np.full(b2.dim, b2.dim**-0.5)).mean()
+        worst_form = max(worst_form, abs(average - ensembles.uniform_avg_concurrence_2p(L)))
 
     ok = worst_pair <= 1e-10 and worst_form <= 1e-12
-    _criterion(4, "concurrence shortcut matches the Wootters oracle", ok,
-               f"max |shortcut - oracle| {worst_pair:.2e}, closed-form deviation {worst_form:.2e}")
+    _criterion(4, "concurrence kernel matches the Wootters oracle", ok,
+               f"max |kernel - oracle| {worst_pair:.2e}, closed-form deviation {worst_form:.2e}")
 
 
 def test_criterion_05_promoted_ipr_identity():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from heisenglass import cli, couplings, ensembles, entanglement, ladder, sector, spectrum, verify
+from heisenglass import basis, cli, couplings, ensembles, entanglement, ladder, sector, spectrum, verify
 from heisenglass.cli import ConfigError, ExperimentConfig
 
 
@@ -31,6 +31,12 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_package_export_resolves():
+    import heisenglass
+
+    assert [name for name in heisenglass.__all__ if not hasattr(heisenglass, name)] == []
 
 
 def test_spectrum_report_output(tmp_path):
@@ -307,14 +313,27 @@ def test_verify_command_passes(capsys):
 
 
 def test_verify_negative_control(monkeypatch):
-    # broken on purpose: the shortcut without its sqrt(v y) term
-    monkeypatch.setattr(entanglement, "concurrence", lambda rdm: 2.0 * abs(rdm.z))
-    results = verify.run_checks()
+    # broken on purpose: the production concurrence formula without its sqrt(v y) term
+    with monkeypatch.context() as patch:
+        patch.setattr(entanglement, "concurrence_from_elements", lambda v, y, z: 2.0 * np.abs(z))
+        results = verify.run_checks()
     failed = [name for name, ok, _ in results if not ok]
-    assert failed == ["concurrence-wootters"]
+    assert failed == ["concurrence-wootters", "uniform-closed-forms"]
     assert len(results) == 14
-    text = verify.report(results)
-    assert "FAIL concurrence-wootters" in text
+    assert "FAIL concurrence-wootters" in verify.report(results)
+
+    # broken on purpose: from three magnons on, each pair's (i down, j up) rows are
+    # reversed, so z pairs every (i up, j down) row with the wrong swap partner
+    swap_rows = basis.SectorBasis.swap_rows
+
+    def reversed_partners(self, first, second):
+        ud, du = swap_rows(self, first, second)
+        return (ud, du[:, ::-1]) if self.magnons >= 3 else (ud, du)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(basis.SectorBasis, "swap_rows", reversed_partners)
+        failed = [name for name, ok, _ in verify.run_checks() if not ok]
+    assert "concurrence-wootters" in failed
 
 
 def test_parse_helpers():
@@ -351,7 +370,7 @@ def test_scoped_seed_is_stable_and_scope_sensitive():
 def test_reference_rows_pass_through():
     rows = {r.quantity: r for r in cli._reference_rows((10,))}
     bound = ladder.localized_promotion_bound(10)
-    assert rows["bound-average-concurrence"].mean == bound.average_concurrence
+    assert rows["bound-average-concurrence"].mean == bound.mean_concurrence
     assert rows["bound-prob-positive"].mean == bound.probability
     assert rows["reference-promoted-concurrence"].mean == pytest.approx(0.0465)
     assert all(r.kind == "reference" and r.n_samples == 0 for r in rows.values())

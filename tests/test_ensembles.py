@@ -26,14 +26,14 @@ def _spec(kind, sites=12, n=120, seed=4, **kw):
 
 
 def _sample_state(spec, index):
-    """Sample ``index`` materialized over its sector basis, promoted through sigma^+ where the kind says so."""
+    """Sample ``index`` as (basis, coefficients) over its sector, promoted through sigma^+ where the kind says so."""
     a = ensembles._draw_seed_vectors(spec, index, index + 1)[:, 0]
     if spec.kind == RANDOM_1P:
-        return entanglement.DefiniteParticleState(build_basis(spec.sites, 1), a)
+        return build_basis(spec.sites, 1), a
     b2 = build_basis(spec.sites, 2)
     if spec.kind == RANDOM_PROMOTED_2P:
         a = promote(a, promotion_map(b2))
-    return entanglement.DefiniteParticleState(b2, a)
+    return b2, a
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -41,9 +41,9 @@ def test_single_pair_fast_path_matches_materialized(kind):
     spec = _spec(kind)
     fast = ensembles.sample_values(spec, (MEAN_CONCURRENCE,))[0]
     for idx in (0, 1, 17, 119):
-        state = _sample_state(spec, idx)
-        rdm = entanglement.pair_rdm(state, 0, 1)
-        assert fast[idx] == pytest.approx(entanglement.concurrence(rdm), abs=1e-13)
+        b, a = _sample_state(spec, idx)
+        # row 0 of the kernel is pair (0, 1)
+        assert fast[idx] == pytest.approx(entanglement.pair_concurrences(b, a)[0], abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -51,8 +51,8 @@ def test_ipr_fast_path_matches_materialized(kind):
     spec = _spec(kind)
     fast = ensembles.sample_values(spec, (MEAN_IPR,))[0]
     for idx in (0, 5, 119):
-        state = _sample_state(spec, idx)
-        direct = entanglement.inverse_participation_ratio(state.coefficients)
+        _, a = _sample_state(spec, idx)
+        direct = entanglement.inverse_participation_ratio(a)
         assert fast[idx] == pytest.approx(direct, abs=1e-13)
 
 
@@ -194,10 +194,9 @@ def test_zero_sum_seed_is_centered():
     a = ensembles._draw_seed_vectors(spec, 3, 4)[:, 0]
     assert abs(a.sum()) <= 1e-14
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
-    state = _sample_state(spec, 3)
-    expected = ensembles._pair01_elements(spec, a[:, None])
-    rdm = entanglement.pair_rdm(state, 0, 1)
-    assert rdm.z == pytest.approx(float(expected[2][0]), abs=1e-14)
+    b, promoted = _sample_state(spec, 3)
+    expected = entanglement.concurrence_from_elements(*ensembles._pair01_elements(spec, a[:, None]))
+    assert entanglement.pair_concurrences(b, promoted)[0] == pytest.approx(float(expected[0]), abs=1e-14)
 
 
 def test_spec_validation():
@@ -223,8 +222,8 @@ def test_closed_forms_table():
     assert cf.mean_concurrence_promoted2p == pytest.approx(0.0465, abs=1e-15)
     # cross-module route: the uniform two-magnon closed form against the
     # generic pair kernels on the materialized state
-    state = entanglement.DefiniteParticleState.uniform(build_basis(8, 2))
-    direct = entanglement.average_concurrence(state)
+    b = build_basis(8, 2)
+    direct = entanglement.pair_concurrences(b, np.full(b.dim, b.dim**-0.5)).mean()
     assert ensembles.uniform_avg_concurrence_2p(8) == pytest.approx(direct, abs=1e-12)
 
 

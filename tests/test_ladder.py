@@ -149,10 +149,10 @@ def test_promote_columns_one_at_a_time_and_rejects_an_annihilated_column():
 
 
 def test_promote_rejects_wrong_sector():
-    _, raising = _raising(6, 2)
-    stray = entanglement.DefiniteParticleState.uniform(basis.build_basis(6, 2))
+    b2, raising = _raising(6, 2)
+    stray = np.full(b2.dim, b2.dim**-0.5)
     with pytest.raises(ValueError):
-        ladder.promote(stray.coefficients, raising)
+        ladder.promote(stray, raising)
 
 
 def test_classification_counts_large_sector():
@@ -220,8 +220,8 @@ def test_all_one_state_classified_promoted():
     k = int(np.argmin(np.abs(spec.eigenvalues - cm.coupling_sum())))
     assert cls.labels[k] == ladder.PROMOTED
     # direct double promotion gives the same sigma+ sigma- eigenvalue
-    uniform = entanglement.DefiniteParticleState.uniform(b2)
-    direct = float(np.sum((raising.T @ uniform.coefficients) ** 2))
+    uniform = np.full(b2.dim, b2.dim**-0.5)
+    direct = float(np.sum((raising.T @ uniform) ** 2))
     assert cls.ladder_eigenvalues[k] == pytest.approx(direct, abs=1e-8)
     assert direct == pytest.approx(2.0 * (sites - 1), abs=1e-10)
 
@@ -248,7 +248,7 @@ def test_labels_invariant_under_coupling_rescale():
 def test_promoted_cloud_sits_above_new_median():
     for seed in (0, 1, 2):
         spec, _, cls = _classified(couplings.InfiniteRange(), 25, 2, seed)
-        cbar = entanglement.average_concurrence_columns(spec.matrix.basis, spec.vectors)
+        cbar = entanglement.pair_concurrences(spec.matrix.basis, spec.vectors).mean(axis=0)
         promoted = cbar[cls.labels == ladder.PROMOTED]
         new = cbar[cls.labels == ladder.NEW]
         assert promoted.min() > np.median(new)
@@ -256,12 +256,12 @@ def test_promoted_cloud_sits_above_new_median():
 
 def test_localized_bound_values():
     b3 = ladder.localized_promotion_bound(3)
-    assert b3.average_concurrence == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert b3.mean_concurrence == pytest.approx(1.0 / 3.0, abs=1e-15)
     for L in (5, 10, 25):
         b = ladder.localized_promotion_bound(L)
         assert b.probability == pytest.approx(comb(L - 1, 2) / comb(L, 2), abs=1e-15)
         assert b.pair_concurrence == pytest.approx(2.0 / (L - 1), abs=1e-15)
-        assert b.average_concurrence == pytest.approx(
+        assert b.mean_concurrence == pytest.approx(
             b.probability * b.pair_concurrence, abs=1e-15
         )
     with pytest.raises(ValueError):
@@ -275,7 +275,7 @@ def test_localized_bound_matches_direct_promotion():
     coeff[0] = 1.0
     conc = entanglement.pair_concurrences(b2, ladder.promote(coeff, raising))
     bound = ladder.localized_promotion_bound(sites)
-    assert conc.mean() == pytest.approx(bound.average_concurrence, abs=1e-12)
+    assert conc.mean() == pytest.approx(bound.mean_concurrence, abs=1e-12)
     assert (conc > 0).mean() == pytest.approx(bound.probability, abs=1e-15)
     assert conc.max() == pytest.approx(bound.pair_concurrence, abs=1e-15)
 
