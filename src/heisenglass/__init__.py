@@ -1,19 +1,14 @@
 """Entanglement structure of disordered Heisenberg spin sectors.
 
 Fixed-magnon exact diagonalization for Heisenberg models with random
-couplings (infinite-range, nearest-neighbour ring, power-law decay on a
-ring), plus the magnon-promotion ladder, pairwise concurrence analysis,
-random-state ensembles, and finite-size scaling fits.
+couplings (power-law decay on a ring, from infinite range at exponent 0
+to the nearest-neighbour ring at infinity), plus the magnon-promotion
+ladder, pairwise concurrence analysis, random-state ensembles, and
+finite-size scaling fits.
 """
 
 from .basis import SectorBasis, build_basis, rank, unrank
-from .couplings import (
-    CouplingMatrix,
-    InfiniteRange,
-    NearestNeighbour,
-    PowerLaw,
-    sample_couplings,
-)
+from .couplings import CouplingMatrix, sample_couplings
 from .entanglement import pair_concurrences
 from .ladder import Classification, classify, promote, promotion_map
 from .sector import SectorMatrix, assemble
@@ -27,9 +22,6 @@ __all__ = [
     "rank",
     "unrank",
     "CouplingMatrix",
-    "InfiniteRange",
-    "NearestNeighbour",
-    "PowerLaw",
     "sample_couplings",
     "pair_concurrences",
     "Classification",

@@ -28,8 +28,6 @@ import numpy as np
 
 from . import __version__, basis, couplings, ensembles, entanglement, fitting, ladder, sector, spectrum, verify
 
-WORKERS_ENV = "HEISENGLASS_WORKERS"
-
 REPORT_HEADER = "sample,index,eigenvalue,E_minus_SJ,avg_concurrence,PR,promoted,degenerate"
 PHASE_HEADER = "sample,index,avg_concurrence,PR,promoted,degenerate"
 
@@ -95,23 +93,13 @@ def format_sigma(sigma: float) -> str:
     return "inf" if math.isinf(sigma) else format(sigma, "g")
 
 
-def resolve_model(name: str, sigma: float | None) -> couplings.Model:
-    """Map (model flag, sigma) to a coupling model; sigma=inf means NN."""
-    if name == "ir":
-        return couplings.InfiniteRange()
-    if name == "nn":
-        return couplings.NearestNeighbour()
-    if name == "pl":
-        if sigma is None:
-            raise ConfigError("--model pl requires --sigma")
-        return sigma_model(sigma)
-    raise ConfigError(f"unknown model {name!r}")
+# decay exponent of each --model flag; pl reads it from --sigma
+_MODEL_SIGMA = {"ir": 0.0, "nn": math.inf}
 
 
-def sigma_model(sigma: float) -> couplings.Model:
-    if math.isinf(sigma):
-        return couplings.NearestNeighbour()
-    return couplings.PowerLaw(sigma)
+def model_sigma(cfg: ExperimentConfig) -> float:
+    """The decay exponent of the run's couplings."""
+    return cfg.sigma if cfg.model == "pl" else _MODEL_SIGMA[cfg.model]
 
 
 def scoped_seed(master_seed: int, scope: int) -> int:
@@ -124,7 +112,7 @@ class InvariantError(RuntimeError):
 
 
 def _classified_sample(
-    model: couplings.Model,
+    sigma: float,
     sites: int,
     magnons: int,
     master_seed: int,
@@ -136,7 +124,7 @@ def _classified_sample(
     S_J to within the eigenpair tolerance and the promoted count is the
     one :func:`ladder.expected_counts` gives.
     """
-    cm = couplings.sample_couplings(model, sites, couplings.sample_seed(master_seed, index))
+    cm = couplings.sample_couplings(sites, sigma, couplings.sample_seed(master_seed, index))
     upper = basis.build_basis(sites, magnons)
     sm = sector.assemble(cm, upper)
     residual = sector.all_up_residual(sm)
@@ -168,14 +156,14 @@ class StateArrays(NamedTuple):
 
 
 def eigenstate_sample(
-    model: couplings.Model,
+    sigma: float,
     sites: int,
     magnons: int,
     master_seed: int,
     index: int,
 ) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
-    cm, upper, spec, cls = _classified_sample(model, sites, magnons, master_seed, index)
+    cm, upper, spec, cls = _classified_sample(sigma, sites, magnons, master_seed, index)
     return StateArrays(
         eigenvalue=spec.eigenvalues,
         e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
@@ -197,7 +185,7 @@ def state_rows(columns) -> list[str]:
 
 
 def _eigen_job(args: tuple) -> StateArrays:
-    """``args`` is (model, sites, magnons, seed, index)."""
+    """``args`` is (sigma, sites, magnons, seed, index), sigma the decay exponent."""
     return eigenstate_sample(*args)
 
 
@@ -233,9 +221,8 @@ def _write_output(path: Path, header: dict, lines: list[str]) -> None:
 
 
 def cmd_spectrum_report(cfg: ExperimentConfig) -> int:
-    model = resolve_model(cfg.model, cfg.sigma)
-    sites = cfg.sites[0]
-    jobs = [(model, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
+    sigma, sites = model_sigma(cfg), cfg.sites[0]
+    jobs = [(sigma, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
     rows = [REPORT_HEADER]
     for k, arrays in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
         rows.extend(f"{k},{row}" for row in state_rows(arrays))
@@ -247,8 +234,7 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
     assert cfg.sigmas is not None
     sites = cfg.sites[0]
     for sigma in cfg.sigmas:
-        model = sigma_model(sigma)
-        jobs = [(model, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
+        jobs = [(sigma, sites, cfg.magnons, cfg.seed, k) for k in range(cfg.samples)]
         rows = [PHASE_HEADER]
         for k, a in enumerate(_map_jobs(_eigen_job, jobs, cfg.workers)):
             columns = (a.avg_concurrence, a.participation, a.promoted, a.degenerate)
@@ -258,14 +244,19 @@ def cmd_phase_diagram(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _eigenstate_estimates(cfg: ExperimentConfig, model: couplings.Model) -> list[ensembles.MCEstimate]:
+def _eigenstate_estimates(cfg: ExperimentConfig) -> list[ensembles.MCEstimate]:
     quantities = (ensembles.MEAN_CONCURRENCE, ensembles.PROB_POSITIVE)  # the columns of _promoted_summary_job
+    sigma = model_sigma(cfg)
+    if math.isinf(sigma):
+        kind = "eigenstates-nearest-neighbour"
+    else:
+        kind = "eigenstates-infinite-range" if cfg.model == "ir" else "eigenstates-power-law"
     out = []
     for sites in cfg.sites:
         seed = scoped_seed(cfg.seed, sites)
-        jobs = [(model, sites, cfg.magnons, seed, k) for k in range(cfg.samples)]
+        jobs = [(sigma, sites, cfg.magnons, seed, k) for k in range(cfg.samples)]
         values = np.array(_map_jobs(_promoted_summary_job, jobs, cfg.workers)).T
-        out.extend(ensembles.summarize(quantities, values, f"eigenstates-{model.name}", "all", sites))
+        out.extend(ensembles.summarize(quantities, values, kind, "all", sites))
     return out
 
 
@@ -328,8 +319,7 @@ def _fit_block(family: str, estimates: list[ensembles.MCEstimate]) -> dict:
 
 def cmd_scaling(cfg: ExperimentConfig) -> int:
     if cfg.target == "eigenstates":
-        model = resolve_model(cfg.model, cfg.sigma)
-        estimates = _eigenstate_estimates(cfg, model)
+        estimates = _eigenstate_estimates(cfg)
         prob_family = fitting.EXP_SATURATION
     else:
         estimates = _ensemble_estimates(cfg, _TARGET_KIND[cfg.target])
@@ -393,8 +383,7 @@ def _add_common(sp: argparse.ArgumentParser, samples: int) -> None:
     sp.add_argument("--pairs", choices=("all", "single"), default="all",
                     help="concurrence pair policy for random ensembles")
     sp.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    sp.add_argument("--workers", type=int, default=None,
-                    help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    sp.add_argument("--workers", type=int, default=1, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,18 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            flag_value = int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from err
-    if flag_value < 1:
-        raise ConfigError("worker count must be at least 1")
-    return flag_value
-
-
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     if ns.command == "verify":
         return ExperimentConfig(command="verify")
@@ -448,7 +425,7 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         target=getattr(ns, "target", None),
         sigmas=getattr(ns, "sigmas", None),
         zero_sum=getattr(ns, "zero_sum", False),
-        workers=_resolve_workers(ns.workers),
+        workers=ns.workers,
     )
     validate_config(cfg)
     return cfg
@@ -461,6 +438,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("--samples must be positive")
     if not cfg.sites:
         raise ConfigError("-L needs at least one system size")
+    if cfg.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     # written as "not x >= 0" so that NaN fails too
     if cfg.sigma is not None and not cfg.sigma >= 0:
         raise ConfigError("--sigma must be non-negative")

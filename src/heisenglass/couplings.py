@@ -1,12 +1,11 @@
 """Random exchange couplings for disordered Heisenberg chains and graphs.
 
-Three disorder laws on L sites arranged on a ring:
-
-* ``InfiniteRange``: every pair carries an independent N(0, 1) coupling.
-* ``NearestNeighbour``: N(0, 1) on ring-adjacent pairs only.
-* ``PowerLaw(sigma)``: variance 1 / r_ij^sigma with r_ij the chord
-  distance through the ring, so sigma = 0 reproduces the infinite-range
-  law and large sigma approaches the nearest-neighbour one.
+One disorder family on L sites arranged on a ring, set by the decay
+exponent sigma >= 0: J_ij is Gaussian with variance 1 / r_ij^sigma, r_ij
+the chord distance through the ring.  sigma = 0 is the infinite-range
+spin glass (every pair N(0, 1)); growing sigma moves toward the
+short-range chain, and sigma = inf is that chain, N(0, 1) on
+ring-adjacent pairs only.
 
 Sampling uses the counter-based Philox generator seeded through
 ``SeedSequence`` and numpy's ziggurat Gaussian transform, so a
@@ -22,40 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class InfiniteRange:
-    name = "infinite-range"
-
-
-@dataclass(frozen=True)
-class NearestNeighbour:
-    name = "nearest-neighbour"
-
-
-@dataclass(frozen=True)
-class PowerLaw:
-    sigma: float
-    name = "power-law"
-
-    def __post_init__(self) -> None:
-        if not self.sigma >= 0:
-            raise ValueError(f"power-law exponent must be >= 0, got {self.sigma}")
-
-
-Model = InfiniteRange | NearestNeighbour | PowerLaw
-
-
 @dataclass
 class CouplingMatrix:
-    """Symmetric coupling matrix with zero diagonal and its disorder model."""
+    """Symmetric coupling matrix with zero diagonal."""
 
-    model: Model
     sites: int
     J: np.ndarray
 
     def coupling_sum(self) -> float:
-        """Sum over the upper triangle, the eigenvalue of the all-up state."""
-        return coupling_sum(self.J)
+        """S_J = sum of J_ij over i < j, the eigenvalue of the all-up state."""
+        return float(np.triu(self.J, k=1).sum())
 
 
 def chord_distance(sites: int, i: int, j: int) -> float:
@@ -163,41 +138,31 @@ def _generator(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_couplings(
-    model: Model, sites: int, seed: int | np.random.SeedSequence
-) -> CouplingMatrix:
-    """Draw one disorder realization.
+def sample_couplings(sites: int, sigma: float, seed: int | np.random.SeedSequence) -> CouplingMatrix:
+    """Draw one disorder realization with decay exponent ``sigma``.
 
     Upper-triangle entries are drawn in lexicographic (i, j) order, one
-    Gaussian per structurally present pair, then mirrored.  The power
-    law scales the unit normals by r_ij^(-sigma/2); with sigma = 0 this
-    reproduces the infinite-range stream verbatim.
+    Gaussian per coupled pair, then mirrored: the ring pairs when sigma
+    is infinite, every pair otherwise, each scaled by r_ij^(-sigma/2)
+    when sigma > 0.
     """
     if sites < 2:
         raise ValueError("need at least two sites for a coupling matrix")
+    # written as "not x >= 0" so that NaN fails too
+    if not sigma >= 0:
+        raise ValueError(f"decay exponent must be >= 0, got {sigma}")
     rng = _generator(seed)
     J = np.zeros((sites, sites), dtype=np.float64)
-
-    if isinstance(model, NearestNeighbour):
-        pairs = ring_pairs(sites)
-        draws = rng.standard_normal(len(pairs))
-        for (i, j), g in zip(pairs, draws):
-            J[i, j] = g
-    elif isinstance(model, (InfiniteRange, PowerLaw)):
-        iu, ju = np.triu_indices(sites, k=1)
-        draws = rng.standard_normal(iu.size)
-        if isinstance(model, PowerLaw) and model.sigma > 0:
-            dist = np.array([chord_distance(sites, int(a), int(b)) for a, b in zip(iu, ju)])
-            draws = draws * dist ** (-model.sigma / 2.0)
-        J[iu, ju] = draws
+    if math.isinf(sigma):
+        first, second = np.array(ring_pairs(sites)).T
+        J[first, second] = rng.standard_normal(first.size)
     else:
-        raise TypeError(f"unknown coupling model {model!r}")
-
+        first, second = np.triu_indices(sites, k=1)
+        draws = rng.standard_normal(first.size)
+        if sigma > 0:
+            # one chord per separation d = j - i, by math.sin: np.sin may differ in the last bit
+            chords = np.array([chord_distance(sites, 0, d) for d in range(1, sites)])
+            draws = draws * chords[second - first - 1] ** (-sigma / 2.0)
+        J[first, second] = draws
     J += J.T
-    return CouplingMatrix(model=model, sites=sites, J=J)
-
-
-def coupling_sum(J: np.ndarray) -> float:
-    """S_J = sum of J_ij over i < j."""
-    return float(np.triu(J, k=1).sum())
-
+    return CouplingMatrix(sites=sites, J=J)

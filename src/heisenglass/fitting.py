@@ -191,7 +191,9 @@ def fit(
                 lam *= 10.0
                 continue
             trial = params + trial_step
-            trial_rss = weighted_rss(trial)
+            # a trial with tiny or negative r may overflow; its non-finite rss rejects it below
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_rss = weighted_rss(trial)
             if np.isfinite(trial_rss) and trial_rss <= rss:
                 step = trial_step
                 params, rss = trial, trial_rss

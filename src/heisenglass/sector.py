@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import SectorBasis
-from .couplings import CouplingMatrix, coupling_sum
+from .couplings import CouplingMatrix
 
 FULL_SPACE_MAX_SITES = 12
 
@@ -116,5 +116,5 @@ def all_up_residual(sm: SectorMatrix) -> float:
     2 J_ij off the diagonal.
     """
     u = np.full(sm.dim, 1.0 / np.sqrt(sm.dim))
-    sj = coupling_sum(sm.couplings.J)
+    sj = sm.couplings.coupling_sum()
     return float(np.linalg.norm(sm.matrix @ u - sj * u))

@@ -9,6 +9,8 @@ least one named check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import basis, couplings, ensembles, entanglement, fitting, ladder, sector, spectrum
@@ -101,7 +103,7 @@ def _check_basis() -> CheckResult:
 
 
 def _check_sector_oracle() -> CheckResult:
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 6, 3)
+    cm = couplings.sample_couplings(6, 0.0, 3)
     full = sector.full_space_oracle(cm)
     worst = 0.0
     for m in range(7):
@@ -116,15 +118,15 @@ def _check_sector_oracle() -> CheckResult:
 
 def _check_uniform_eigenstate() -> CheckResult:
     worst = 0.0
-    for model in (couplings.InfiniteRange(), couplings.NearestNeighbour(), couplings.PowerLaw(1.5)):
-        cm = couplings.sample_couplings(model, 10, 11)
+    for sigma in (0.0, math.inf, 1.5):
+        cm = couplings.sample_couplings(10, sigma, 11)
         sm = sector.assemble(cm, basis.build_basis(10, 2))
         worst = max(worst, sector.all_up_residual(sm))
     return ("uniform-eigenstate", worst <= 1e-10, f"max residual {worst:.2e}")
 
 
 def _check_promotion_commutes() -> CheckResult:
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 5)
+    cm = couplings.sample_couplings(8, 0.0, 5)
     b1, b2 = basis.build_basis(8, 1), basis.build_basis(8, 2)
     H1 = sector.assemble(cm, b1).matrix.toarray()
     H2 = sector.assemble(cm, b2).matrix.toarray()
@@ -196,7 +198,7 @@ def _check_localized_bound() -> CheckResult:
 
 
 def _check_classification() -> CheckResult:
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 12, 21)
+    cm = couplings.sample_couplings(12, 0.0, 21)
     b2 = basis.build_basis(12, 2)
     spec = spectrum.diagonalize(sector.assemble(cm, b2))
     expected = ladder.expected_counts(12, 2)
@@ -214,7 +216,7 @@ def _check_classification() -> CheckResult:
 
 
 def _check_degeneracy_grouping() -> CheckResult:
-    cm = couplings.sample_couplings(couplings.NearestNeighbour(), 12, 2)
+    cm = couplings.sample_couplings(12, math.inf, 2)
     sm = sector.assemble(cm, basis.build_basis(12, 1))
     spec = spectrum.diagonalize(sm)
     # brute-force gap scan must induce the same grouping
@@ -227,7 +229,7 @@ def _check_degeneracy_grouping() -> CheckResult:
 
 
 def _check_jacobi() -> CheckResult:
-    cm = couplings.sample_couplings(couplings.PowerLaw(1.0), 6, 17)
+    cm = couplings.sample_couplings(6, 1.0, 17)
     sm = sector.assemble(cm, basis.build_basis(6, 2))
     spec = spectrum.diagonalize(sm)
     dev = float(np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max(initial=0.0))
@@ -247,7 +249,7 @@ def _check_total_spin_blocks() -> CheckResult:
     for two_s, q in blocks.items():
         value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) // 4
         ladder_dev = max(ladder_dev, float(np.abs(raising @ (raising.T @ q) - value * q).max(initial=0.0)))
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 23)
+    cm = couplings.sample_couplings(L, 0.0, 23)
     H = sector.assemble(cm, b).matrix.toarray()
     projected = Q.T @ H @ Q
     start = 0

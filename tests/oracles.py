@@ -2,9 +2,9 @@
 
 Nothing here shares code with the production kernels: pair
 reduced-density-matrix elements come from masked sums over the
-occupancy columns, pair connectivity from a quadratic scan, Jacobians
-from finite differences, the promoted concurrence constant from
-quadrature.  The full-space partial trace and the Wootters concurrence
+occupancy columns, pair connectivity from a quadratic scan, coupling
+matrices from one draw per pair, Jacobians from finite differences, the
+promoted concurrence constant from quadrature.  The full-space partial trace and the Wootters concurrence
 live in :mod:`heisenglass.verify`, which runs them against the kernels
 at every ``heisenglass verify``; the tests import them from there.
 """
@@ -47,6 +47,33 @@ def pair_elements_by_masks(
     y = sq[~(ui | uj)].sum(axis=0)
     z = (a[ud] * a[du]).sum(axis=0)
     return v, w, x, y, z
+
+
+def reference_couplings(sites: int, sigma: float, seed: int) -> np.ndarray:
+    """Coupling matrix by one Gaussian per pair, branch by branch.
+
+    Nearest neighbour (sigma = inf) fills the sorted ring pairs one at a
+    time; otherwise every pair in lexicographic order gets its draw, and
+    sigma > 0 scales it by its own chord (L / pi) sin(pi (j - i) / L)
+    to the power -sigma / 2.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    J = np.zeros((sites, sites))
+    if math.isinf(sigma):
+        # the closing bond (0, L - 1) is the bond (0, 1) again at L = 2
+        pairs = sorted({(i, i + 1) for i in range(sites - 1)} | {(0, sites - 1)})
+        draws = rng.standard_normal(len(pairs))
+        for (i, j), g in zip(pairs, draws):
+            J[i, j] = g
+    else:
+        pairs = site_pairs(sites)
+        draws = rng.standard_normal(len(pairs))
+        if sigma > 0:
+            dist = np.array([(sites / math.pi) * math.sin(math.pi * (j - i) / sites) for i, j in pairs])
+            draws = draws * dist ** (-sigma / 2.0)
+        for (i, j), g in zip(pairs, draws):
+            J[i, j] = g
+    return J + J.T
 
 
 def brute_pair_partners(states: list[int], i: int, j: int) -> list[tuple[int, int]]:

@@ -29,7 +29,7 @@ from heisenglass import (
 MASTER = 20260814
 WORKERS = min(4, os.cpu_count() or 1)
 
-MODELS = (couplings.InfiniteRange(), couplings.NearestNeighbour(), couplings.PowerLaw(1.0))
+SIGMAS = (0.0, math.inf, 1.0)  # infinite range, nearest neighbour, power law
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -42,7 +42,7 @@ def test_criterion_01_sector_blocks_match_full_oracle():
     worst_off = 0.0
     for seed in range(50):
         for L in (4, 6, 8):
-            cm = couplings.sample_couplings(MODELS[seed % 3], L, seed)
+            cm = couplings.sample_couplings(L, SIGMAS[seed % 3], seed)
             full = sector.full_space_oracle(cm)
             pops = np.array([bin(n).count("1") for n in range(1 << L)])
             off = np.abs(full[pops[:, None] != pops[None, :]]).max(initial=0.0)
@@ -63,7 +63,7 @@ def test_criterion_02_uniform_state_is_eigenstate():
     for k in range(100):
         L = int(rng.integers(3, 15))
         m = int(rng.integers(1, min(3, L - 1) + 1))
-        cm = couplings.sample_couplings(MODELS[k % 3], L, k)
+        cm = couplings.sample_couplings(L, SIGMAS[k % 3], k)
         sm = sector.assemble(cm, basis.build_basis(L, m))
         worst = max(worst, sector.all_up_residual(sm))
     _criterion(2, "uniform state is an eigenstate at S_J", worst <= 1e-10,
@@ -75,7 +75,7 @@ def test_criterion_03_promotion_preserves_eigenpairs():
     contained = True
     for L in (8, 12):
         for seed in (0, 1):
-            cm = couplings.sample_couplings(couplings.InfiniteRange(), L, seed)
+            cm = couplings.sample_couplings(L, 0.0, seed)
             b2 = basis.build_basis(L, 2)
             raising = ladder.promotion_map(b2)
             H2 = sector.assemble(cm, b2).matrix.toarray()
@@ -189,15 +189,15 @@ def test_criterion_07_random_two_magnon_reference():
                f"({dev:+.1%}); cf. 4/(sqrt(pi) L^2) = {alt:.6f} ({est.mean / alt - 1.0:+.1%})")
 
 
-def _eigen_reports(model, sites, magnons, seed, samples):
-    jobs = [(model, sites, magnons, seed, k) for k in range(samples)]
+def _eigen_reports(sigma, sites, magnons, seed, samples):
+    jobs = [(sigma, sites, magnons, seed, k) for k in range(samples)]
     return cli._map_jobs(cli._eigen_job, jobs, WORKERS)
 
 
-def _cloud_ratio(model, samples=50):
+def _cloud_ratio(sigma, samples=50):
     counts = []
     promoted, new = [], []
-    for arrays in _eigen_reports(model, 25, 2, MASTER, samples):
+    for arrays in _eigen_reports(sigma, 25, 2, MASTER, samples):
         counts.append(int((arrays.promoted == 1).sum()))
         promoted.append(arrays.avg_concurrence[arrays.promoted == 1])
         new.append(arrays.avg_concurrence[arrays.promoted == 0])
@@ -205,7 +205,7 @@ def _cloud_ratio(model, samples=50):
 
 
 def test_criterion_08_promoted_cloud_separation():
-    ratio, counts = _cloud_ratio(couplings.InfiniteRange())
+    ratio, counts = _cloud_ratio(0.0)
     ok = counts == {25} and ratio >= 2.0
     _criterion(8, "promoted cloud sits well above new states", ok,
                f"promoted per sample {sorted(counts)}, concurrence ratio {ratio:.3f}")
@@ -213,7 +213,7 @@ def test_criterion_08_promoted_cloud_separation():
 
 def test_criterion_09_clouds_merge_with_decay_exponent():
     sigmas = (0.0, 1.0, 2.5)
-    ratios = [_cloud_ratio(cli.sigma_model(s))[0] for s in sigmas]
+    ratios = [_cloud_ratio(s)[0] for s in sigmas]
     ok = ratios[0] >= ratios[1] >= ratios[2]
     _criterion(9, "cloud separation shrinks as interactions shorten", ok,
                "ratio(sigma) = " + ", ".join(f"{s:g}: {r:.3f}" for s, r in zip(sigmas, ratios)))
@@ -262,10 +262,9 @@ def test_criterion_11_scaling_exponents():
     a_weighted = float(fits["weighted"].parameters[1])
     in_band = 1.0 <= a_plain <= 1.3 and 1.0 <= a_weighted <= 1.3
 
-    nn_cfg = cli.ExperimentConfig(command="scaling", sites=(8, 12, 16), magnons=2,
+    nn_cfg = cli.ExperimentConfig(command="scaling", model="nn", sites=(8, 12, 16), magnons=2,
                                   samples=400, seed=MASTER, workers=WORKERS)
-    probs = [e.mean for e in cli._eigenstate_estimates(nn_cfg, couplings.NearestNeighbour())
-             if e.quantity == ensembles.PROB_POSITIVE]
+    probs = [e.mean for e in cli._eigenstate_estimates(nn_cfg) if e.quantity == ensembles.PROB_POSITIVE]
     increasing = probs[0] < probs[1] < probs[2]
 
     _criterion(11, "scaling exponents at reduced range", in_band and increasing,

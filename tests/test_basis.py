@@ -172,7 +172,7 @@ def test_total_spin_blocks_are_ladder_eigenspaces(sector_lm):
 @example((7, 5), 1)
 def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
     sites, magnons = sector_lm
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, seed)
+    cm = couplings.sample_couplings(sites, 0.0, seed)
     H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix.toarray()
     blocks = list(basis.total_spin_blocks(sites, magnons).values())
     for a, qa in enumerate(blocks):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,19 +61,16 @@ def test_spectrum_report_output(tmp_path):
         assert sum(abs(float(r[3])) <= 1e-9 for r in block) == 1
 
 
-def test_phase_diagram_worker_independence(tmp_path, monkeypatch):
+def test_phase_diagram_worker_independence(tmp_path):
     args = ["phase-diagram", "-L", "10", "-m", "2", "--samples", "3",
             "--sigmas", "0,1.5,inf", "--seed", "7"]
     assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "pooled"), "--workers", "2"]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "3")
-    assert cli.main(args + ["--out", str(tmp_path / "env")]) == 0
 
     names = ["phase_sigma_0.csv", "phase_sigma_1.5.csv", "phase_sigma_inf.csv"]
     for name in names:
         serial = (tmp_path / "serial" / name).read_bytes()
         assert (tmp_path / "pooled" / name).read_bytes() == serial
-        assert (tmp_path / "env" / name).read_bytes() == serial
 
     header, lines = _read_output(tmp_path / "serial" / "phase_sigma_inf.csv")
     assert header["sigma"] == "inf"
@@ -108,9 +106,19 @@ def test_scaling_random_promoted_outputs(tmp_path):
         assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-def test_scaling_eigenstates_uses_saturation_family(tmp_path):
+@pytest.mark.parametrize(
+    "model,kind",
+    [
+        (["nn"], "eigenstates-nearest-neighbour"),
+        (["pl", "--sigma", "inf"], "eigenstates-nearest-neighbour"),
+        (["pl", "--sigma", "0"], "eigenstates-power-law"),
+        (["ir"], "eigenstates-infinite-range"),
+    ],
+    ids=["nn", "pl-inf", "pl-0", "ir"],
+)
+def test_scaling_eigenstates_uses_saturation_family(tmp_path, model, kind):
     rc = cli.main(
-        ["scaling", "--target", "eigenstates", "--model", "nn", "-L", "8,9,10,11",
+        ["scaling", "--target", "eigenstates", "--model", *model, "-L", "8,9,10,11",
          "-m", "2", "--samples", "4", "--seed", "1", "--out", str(tmp_path)]
     )
     assert rc == 0
@@ -118,7 +126,16 @@ def test_scaling_eigenstates_uses_saturation_family(tmp_path):
     assert fits["fits"]["prob-positive-concurrence"]["family"] == "exp-saturation"
     _, lines = _read_output(tmp_path / "scaling_eigenstates.csv")
     kinds = {line.split(",")[5] for line in lines[1:]}
-    assert kinds == {"eigenstates-nearest-neighbour", "reference"}
+    assert kinds == {kind, "reference"}
+
+
+def test_scaling_eigenstates_fit_raises_no_warning(tmp_path):
+    # rejected damping trials overflow exp(-L / r) for tiny or negative r
+    argv = ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "-m", "2", "--samples", "3",
+            "--seed", "0", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize(
@@ -299,12 +316,6 @@ def test_stream_key_mismatch_exits_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "scaling_random.csv").exists()
 
 
-def test_workers_env_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    assert cli.main(["spectrum-report", "-L", "10"]) == 2
-    assert cli.WORKERS_ENV in capsys.readouterr().err
-
-
 def test_verify_command_passes(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -350,14 +361,16 @@ def test_parse_helpers():
     assert cli.format_sigma(1.5) == "1.5"
 
 
-def test_resolve_model_dispatch():
-    assert isinstance(cli.resolve_model("ir", None), couplings.InfiniteRange)
-    assert isinstance(cli.resolve_model("nn", None), couplings.NearestNeighbour)
-    pl = cli.resolve_model("pl", 1.5)
-    assert isinstance(pl, couplings.PowerLaw) and pl.sigma == 1.5
-    assert isinstance(cli.resolve_model("pl", math.inf), couplings.NearestNeighbour)
+def test_model_flag_sets_sigma():
+    def sigma(model, value=None):
+        return cli.model_sigma(ExperimentConfig(command="spectrum-report", model=model, sigma=value))
+
+    assert sigma("ir") == 0.0
+    assert sigma("nn") == math.inf
+    assert sigma("pl", 1.5) == 1.5
+    assert sigma("pl", math.inf) == math.inf
     with pytest.raises(ConfigError):
-        cli.resolve_model("pl", None)
+        cli.validate_config(ExperimentConfig(command="spectrum-report", model="pl", sites=(8,)))
 
 
 def test_scoped_seed_is_stable_and_scope_sensitive():
@@ -385,9 +398,8 @@ def test_header_serializes_infinite_sigma():
 
 
 def test_eigenstate_sample_matches_job_wrapper():
-    model = couplings.InfiniteRange()
-    direct = cli.eigenstate_sample(model, 8, 2, 11, 0)
-    wrapped = cli._eigen_job((model, 8, 2, 11, 0))
+    direct = cli.eigenstate_sample(0.0, 8, 2, 11, 0)
+    wrapped = cli._eigen_job((0.0, 8, 2, 11, 0))
     assert all(np.array_equal(a, b) for a, b in zip(direct, wrapped))
     assert all(len(column) == 28 for column in direct)
     assert int(direct.promoted.sum()) == 8

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from heisenglass import couplings
 
 
@@ -29,7 +30,7 @@ def test_chord_rejects_equal_sites():
 
 
 def test_nearest_neighbour_support():
-    cm = couplings.sample_couplings(couplings.NearestNeighbour(), 6, 0)
+    cm = couplings.sample_couplings(6, math.inf, 0)
     upper = np.triu(cm.J, k=1)
     nz = {(i, j) for i, j in zip(*np.nonzero(upper))}
     assert nz == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
@@ -38,38 +39,42 @@ def test_nearest_neighbour_support():
 
 def test_nearest_neighbour_two_sites():
     # the ring degenerates to a single bond, not a doubled one
-    cm = couplings.sample_couplings(couplings.NearestNeighbour(), 2, 0)
+    cm = couplings.sample_couplings(2, math.inf, 0)
     assert np.count_nonzero(np.triu(cm.J, k=1)) == 1
 
 
 def test_infinite_range_support():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 10, 0)
+    cm = couplings.sample_couplings(10, 0.0, 0)
     assert np.count_nonzero(np.triu(cm.J, k=1)) == 45
 
 
 def test_symmetry_zero_diagonal():
-    for model in (couplings.InfiniteRange(), couplings.NearestNeighbour(), couplings.PowerLaw(2.0)):
-        cm = couplings.sample_couplings(model, 9, 4)
+    for sigma in (0.0, math.inf, 2.0):
+        cm = couplings.sample_couplings(9, sigma, 4)
         assert np.array_equal(cm.J, cm.J.T)
         assert np.all(np.diag(cm.J) == 0)
 
 
-def test_power_law_zero_matches_infinite_range_bitwise():
-    a = couplings.sample_couplings(couplings.PowerLaw(0.0), 12, 99)
-    b = couplings.sample_couplings(couplings.InfiniteRange(), 12, 99)
-    assert np.array_equal(a.J, b.J)
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.5, 3.0, math.inf])
+@pytest.mark.parametrize("sites", [2, 3, 9, 16, 25])
+@pytest.mark.parametrize("seed", [0, 99])
+def test_sample_matches_per_pair_reference_bitwise(sigma, sites, seed):
+    reference = oracles.reference_couplings(sites, sigma, seed)
+    assert np.array_equal(couplings.sample_couplings(sites, sigma, seed).J, reference)
 
 
 def test_power_law_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        couplings.PowerLaw(-0.5)
+        couplings.sample_couplings(5, -0.5, 0)
+    with pytest.raises(ValueError):
+        couplings.sample_couplings(5, math.nan, 0)
 
 
 def test_power_law_zero_unit_variance_monte_carlo():
     L, n = 10, 10_000
     acc = np.zeros((L, L))
     for s in range(n):
-        acc += couplings.sample_couplings(couplings.PowerLaw(0.0), L, s).J ** 2
+        acc += couplings.sample_couplings(L, 0.0, s).J ** 2
     var = acc / n
     iu = np.triu_indices(L, k=1)
     assert np.abs(var[iu] - 1.0).max() < 0.05
@@ -85,7 +90,7 @@ def test_power_law_variance_law():
                 scale[i, j] = couplings.chord_distance(L, i, j) ** (sigma / 2.0)
     acc = np.zeros((L, L))
     for s in range(n):
-        acc += (couplings.sample_couplings(couplings.PowerLaw(sigma), L, s).J * scale) ** 2
+        acc += (couplings.sample_couplings(L, sigma, s).J * scale) ** 2
     iu = np.triu_indices(L, k=1)
     pooled = acc[iu].sum() / (n * iu[0].size)
     assert abs(pooled - 1.0) < 0.02
@@ -96,7 +101,7 @@ def test_power_law_large_sigma_concentrates():
     acc_nn = 0.0
     acc_nnn = 0.0
     for s in range(n):
-        J = couplings.sample_couplings(couplings.PowerLaw(sigma), L, s).J
+        J = couplings.sample_couplings(L, sigma, s).J
         acc_nn += J[0, 1] ** 2
         acc_nnn += J[0, 2] ** 2
     measured = math.sqrt(acc_nnn / acc_nn)
@@ -107,22 +112,22 @@ def test_power_law_large_sigma_concentrates():
 
 
 def test_coupling_sum_trivial_cases():
-    assert couplings.coupling_sum(np.zeros((5, 5))) == 0.0
+    assert couplings.CouplingMatrix(5, np.zeros((5, 5))).coupling_sum() == 0.0
     J = np.zeros((4, 4))
     J[1, 2] = J[2, 1] = 3.25
-    assert couplings.coupling_sum(J) == 3.25
+    assert couplings.CouplingMatrix(4, J).coupling_sum() == 3.25
 
 
 def test_coupling_sum_against_double_loop():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 13)
+    cm = couplings.sample_couplings(8, 0.0, 13)
     brute = sum(cm.J[i, j] for i in range(8) for j in range(i + 1, 8))
     assert cm.coupling_sum() == pytest.approx(brute, abs=1e-13)
 
 
 def test_determinism_and_seed_sensitivity():
-    a = couplings.sample_couplings(couplings.PowerLaw(1.0), 10, 7)
-    b = couplings.sample_couplings(couplings.PowerLaw(1.0), 10, 7)
-    c = couplings.sample_couplings(couplings.PowerLaw(1.0), 10, 8)
+    a = couplings.sample_couplings(10, 1.0, 7)
+    b = couplings.sample_couplings(10, 1.0, 7)
+    c = couplings.sample_couplings(10, 1.0, 8)
     assert np.array_equal(a.J, b.J)
     assert not np.array_equal(a.J, c.J)
 
@@ -155,4 +160,4 @@ def test_sample_keys_reject_masters_outside_64_bits(master):
 
 def test_sample_rejects_single_site():
     with pytest.raises(ValueError):
-        couplings.sample_couplings(couplings.InfiniteRange(), 1, 0)
+        couplings.sample_couplings(1, 0.0, 0)

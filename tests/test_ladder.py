@@ -1,5 +1,5 @@
 import dataclasses
-from math import comb, sqrt
+from math import comb, inf, sqrt
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ def _zero_sum_seed(sites, seed):
     return a / np.linalg.norm(a)
 
 
-def _classified(model, sites, magnons, seed):
-    cm = couplings.sample_couplings(model, sites, seed)
+def _classified(sigma, sites, magnons, seed):
+    cm = couplings.sample_couplings(sites, sigma, seed)
     target, raising = _raising(sites, magnons)
     spec = spectrum.diagonalize(sector.assemble(cm, target))
     return spec, raising, ladder.classify(spec, raising)
@@ -64,7 +64,7 @@ def test_promote_basis_state():
 
 def test_promoted_eigenstates_stay_eigenstates():
     sites = 8
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, 5)
+    cm = couplings.sample_couplings(sites, 0.0, 5)
     b2, raising = _raising(sites, 2)
     H2 = sector.assemble(cm, b2).matrix.toarray()
     s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(sites, 1)))
@@ -113,7 +113,7 @@ def test_adjoint_identity():
 
 def test_commutes_with_hamiltonian_on_random_vectors():
     sites = 12
-    cm = couplings.sample_couplings(couplings.PowerLaw(0.5), sites, 2)
+    cm = couplings.sample_couplings(sites, 0.5, 2)
     rng = np.random.Generator(np.random.Philox(13))
     for magnons in (1, 2):
         b_hi, raising = _raising(sites, magnons + 1)
@@ -156,14 +156,14 @@ def test_promote_rejects_wrong_sector():
 
 
 def test_classification_counts_large_sector():
-    _, _, cls = _classified(couplings.InfiniteRange(), 25, 2, 0)
+    _, _, cls = _classified(0.0, 25, 2, 0)
     assert cls.n_promoted == 25
     assert cls.n_new == 275
     assert ladder.expected_counts(25, 2) == (25, 275)
 
 
 def test_new_states_are_annihilated_by_lowering():
-    spec, raising, cls = _classified(couplings.InfiniteRange(), 10, 2, 7)
+    spec, raising, cls = _classified(0.0, 10, 2, 7)
     lowered = raising.T @ spec.vectors
     norms = np.linalg.norm(lowered, axis=0)
     assert norms[cls.labels == ladder.NEW].max() <= 1e-8
@@ -171,7 +171,7 @@ def test_new_states_are_annihilated_by_lowering():
 
 
 def test_ladder_eigenvalues_are_integers():
-    _, _, cls = _classified(couplings.PowerLaw(1.0), 10, 2, 9)
+    _, _, cls = _classified(1.0, 10, 2, 9)
     assert np.abs(cls.ladder_eigenvalues - np.round(cls.ladder_eigenvalues)).max() <= 1e-8
     values = set(np.round(cls.ladder_eigenvalues[cls.labels == ladder.PROMOTED]).astype(int))
     # generic promoted states sit at L-2; the all-one state at 2(L-1)
@@ -180,7 +180,7 @@ def test_ladder_eigenvalues_are_integers():
 
 def test_ladder_values_sit_on_block_integers():
     # L=7, m=2: M=-3/2, blocks 2S=3,5,7 carry S(S+1)-M^2+M = 0, 5, 12
-    spec, _, cls = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    spec, _, cls = _classified(0.0, 7, 2, 4)
     assert np.array_equal(cls.ladder_integers, np.select([spec.two_s == 3, spec.two_s == 5], [0, 5], 12))
     assert cls.integer_distance <= 1e-12
     assert np.array_equal(cls.labels, np.where(spec.two_s > 3, ladder.PROMOTED, ladder.NEW))
@@ -193,7 +193,7 @@ def _two_block_columns(spec):
 
 
 def test_classify_rejects_swapped_block_labels():
-    spec, raising, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    spec, raising, _ = _classified(0.0, 7, 2, 4)
     i, j = _two_block_columns(spec)
     two_s = spec.two_s.copy()
     two_s[[i, j]] = two_s[[j, i]]
@@ -202,7 +202,7 @@ def test_classify_rejects_swapped_block_labels():
 
 
 def test_classify_rejects_vector_mixing_two_spins():
-    spec, raising, _ = _classified(couplings.InfiniteRange(), 7, 2, 4)
+    spec, raising, _ = _classified(0.0, 7, 2, 4)
     i, j = _two_block_columns(spec)
     vectors = spec.vectors.copy()
     a, b = spec.vectors[:, i], spec.vectors[:, j]
@@ -213,7 +213,7 @@ def test_classify_rejects_vector_mixing_two_spins():
 
 def test_all_one_state_classified_promoted():
     sites = 10
-    cm = couplings.sample_couplings(couplings.NearestNeighbour(), sites, 3)
+    cm = couplings.sample_couplings(sites, inf, 3)
     b2, raising = _raising(sites, 2)
     spec = spectrum.diagonalize(sector.assemble(cm, b2))
     cls = ladder.classify(spec, raising)
@@ -237,17 +237,17 @@ def test_synthetic_orthogonal_state_is_new():
 
 
 def test_labels_invariant_under_coupling_rescale():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 10, 15)
+    cm = couplings.sample_couplings(10, 0.0, 15)
     b2, raising = _raising(10, 2)
     cls_a = ladder.classify(spectrum.diagonalize(sector.assemble(cm, b2)), raising)
-    scaled = couplings.CouplingMatrix(cm.model, cm.sites, 3.7 * cm.J)
+    scaled = couplings.CouplingMatrix(cm.sites, 3.7 * cm.J)
     cls_b = ladder.classify(spectrum.diagonalize(sector.assemble(scaled, b2)), raising)
     assert np.array_equal(cls_a.labels, cls_b.labels)
 
 
 def test_promoted_cloud_sits_above_new_median():
     for seed in (0, 1, 2):
-        spec, _, cls = _classified(couplings.InfiniteRange(), 25, 2, seed)
+        spec, _, cls = _classified(0.0, 25, 2, seed)
         cbar = entanglement.pair_concurrences(spec.matrix.basis, spec.vectors).mean(axis=0)
         promoted = cbar[cls.labels == ladder.PROMOTED]
         new = cbar[cls.labels == ladder.NEW]

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, inf
 
 import numpy as np
 import pytest
@@ -8,14 +8,14 @@ import oracles
 from heisenglass import basis, couplings, sector
 
 
-def _matrix(model, sites, magnons, seed):
-    cm = couplings.sample_couplings(model, sites, seed)
+def _matrix(sigma, sites, magnons, seed):
+    cm = couplings.sample_couplings(sites, sigma, seed)
     return cm, sector.assemble(cm, basis.build_basis(sites, magnons))
 
 
 def _coupling_with(J):
     sites = J.shape[0]
-    return couplings.CouplingMatrix(model=couplings.InfiniteRange(), sites=sites, J=J)
+    return couplings.CouplingMatrix(sites=sites, J=J)
 
 
 def test_two_spin_block():
@@ -35,7 +35,7 @@ def test_full_oracle_singlet_triplet():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("sites", [4, 6, 8])
 def test_sector_equals_full_space_projection(sites, seed):
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, seed)
+    cm = couplings.sample_couplings(sites, 0.0, seed)
     full = sector.full_space_oracle(cm)
     for magnons in range(sites + 1):
         b = basis.build_basis(sites, magnons)
@@ -44,7 +44,7 @@ def test_sector_equals_full_space_projection(sites, seed):
 
 
 def test_full_oracle_block_diagonal():
-    cm = couplings.sample_couplings(couplings.PowerLaw(1.0), 6, 5)
+    cm = couplings.sample_couplings(6, 1.0, 5)
     full = sector.full_space_oracle(cm)
     pops = np.array([bin(n).count("1") for n in range(64)])
     off_block = full[pops[:, None] != pops[None, :]]
@@ -52,7 +52,7 @@ def test_full_oracle_block_diagonal():
 
 
 def test_full_oracle_trace_splits_over_sectors():
-    cm = couplings.sample_couplings(couplings.NearestNeighbour(), 7, 9)
+    cm = couplings.sample_couplings(7, inf, 9)
     full = sector.full_space_oracle(cm)
     by_sector = sum(
         np.trace(sector.assemble(cm, basis.build_basis(7, m)).matrix.toarray()) for m in range(8)
@@ -61,13 +61,13 @@ def test_full_oracle_trace_splits_over_sectors():
 
 
 def test_full_oracle_rejects_large_system():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 13, 0)
+    cm = couplings.sample_couplings(13, 0.0, 0)
     with pytest.raises(ValueError):
         sector.full_space_oracle(cm)
 
 
 def test_assemble_rejects_mismatched_sites():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 6, 0)
+    cm = couplings.sample_couplings(6, 0.0, 0)
     with pytest.raises(ValueError):
         sector.assemble(cm, basis.build_basis(8, 2))
 
@@ -75,7 +75,7 @@ def test_assemble_rejects_mismatched_sites():
 def test_matrix_element_rule():
     """Diagonal sum J s s, off-diagonal 2 J on swap partners, zero elsewhere."""
     sites, magnons = 5, 2
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), sites, 3)
+    cm = couplings.sample_couplings(sites, 0.0, 3)
     b = basis.build_basis(sites, magnons)
     H = sector.assemble(cm, b).matrix.toarray()
 
@@ -93,14 +93,14 @@ def test_matrix_element_rule():
 
 
 def test_all_one_eigenstate_all_models():
-    for model in (couplings.InfiniteRange(), couplings.NearestNeighbour(), couplings.PowerLaw(2.0)):
+    for sigma in (0.0, inf, 2.0):
         for magnons in (1, 2, 3):
-            cm, sm = _matrix(model, 10, magnons, 7)
+            cm, sm = _matrix(sigma, 10, magnons, 7)
             assert sector.all_up_residual(sm) <= 1e-12 * max(1.0, np.abs(sm.matrix.toarray()).max())
 
 
 def test_trace_identity():
-    cm, sm = _matrix(couplings.InfiniteRange(), 9, 3, 1)
+    cm, sm = _matrix(0.0, 9, 3, 1)
     b = sm.basis
     spins = b.spins()
     direct = 0.5 * np.einsum("ki,ij,kj->", spins, cm.J, spins)
@@ -108,7 +108,7 @@ def test_trace_identity():
 
 
 def test_sector_spectrum_containment():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 8, 21)
+    cm = couplings.sample_couplings(8, 0.0, 21)
     spectra = [
         np.linalg.eigvalsh(sector.assemble(cm, basis.build_basis(8, m)).matrix.toarray()) for m in range(5)
     ]
@@ -129,7 +129,7 @@ def test_diagonal_dominance_statistics():
     sites = 32
     diag, off = [], []
     for seed in range(200):
-        cm, sm = _matrix(couplings.InfiniteRange(), sites, 1, seed)
+        cm, sm = _matrix(0.0, sites, 1, seed)
         diag.append(sm.matrix.diagonal())
         off.append(sparse.triu(sm.matrix, k=1).data)
     var_diag = np.concatenate(diag).var()
@@ -143,15 +143,16 @@ def test_diagonal_dominance_statistics():
     assert abs(ratio - expected_ratio) / expected_ratio < 0.10
 
 
-@pytest.mark.parametrize("model", [couplings.InfiniteRange(), couplings.NearestNeighbour()])
+# model0 is infinite range, model1 the nearest-neighbour ring
+@pytest.mark.parametrize("sigma", [0.0, inf], ids=["model0", "model1"])
 @pytest.mark.parametrize("sites,magnons", [(10, 1), (12, 5), (16, 3), (70, 2)])
-def test_sparse_block_stores_only_coupled_swaps(model, sites, magnons):
-    cm, sm = _matrix(model, sites, magnons, 4)
+def test_sparse_block_stores_only_coupled_swaps(sigma, sites, magnons):
+    cm, sm = _matrix(sigma, sites, magnons, 4)
     H = sm.matrix
     assert isinstance(H, sparse.csr_array) and H.has_canonical_format
     # every diagonal entry, and each coupled pair's C(L-2, m-1) swaps in both triangles
     pairs = int(np.count_nonzero(np.triu(cm.J, 1)))
-    assert pairs == (comb(sites, 2) if isinstance(model, couplings.InfiniteRange) else sites)
+    assert pairs == (comb(sites, 2) if sigma == 0.0 else sites)
     assert H.nnz == sm.dim + 2 * pairs * comb(sites - 2, magnons - 1)
     off = sparse.triu(H, k=1).data
     assert off.size == pairs * comb(sites - 2, magnons - 1)

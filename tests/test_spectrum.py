@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -12,20 +13,20 @@ from heisenglass import basis, couplings, sector, spectrum
 from heisenglass.verify import jacobi_eigenvalues
 
 
-def _sector(model, sites, magnons, seed):
-    cm = couplings.sample_couplings(model, sites, seed)
+def _sector(sigma, sites, magnons, seed):
+    cm = couplings.sample_couplings(sites, sigma, seed)
     return cm, sector.assemble(cm, basis.build_basis(sites, magnons))
 
 
 def test_two_spin_eigenvalues():
     J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, J)
+    cm = couplings.CouplingMatrix(2, J)
     spec = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(2, 1)))
     assert np.allclose(spec.eigenvalues, [-3.0, 1.0], atol=1e-12)
 
 
 def test_all_one_vector_is_eigenvector():
-    cm, sm = _sector(couplings.InfiniteRange(), 8, 2, 3)
+    cm, sm = _sector(0.0, 8, 2, 3)
     spec = spectrum.diagonalize(sm)
     k = int(np.argmin(np.abs(spec.eigenvalues - cm.coupling_sum())))
     assert abs(spec.eigenvalues[k] - cm.coupling_sum()) <= 1e-9
@@ -37,7 +38,7 @@ def test_all_one_vector_is_eigenvector():
 def test_matches_jacobi_oracle_on_random_symmetric():
     rng = np.random.Generator(np.random.Philox(5))
     J = np.triu(rng.standard_normal((4, 4)), 1)
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 4, J + J.T)
+    cm = couplings.CouplingMatrix(4, J + J.T)
     sm = sector.assemble(cm, basis.build_basis(4, 2))
     spec = spectrum.diagonalize(sm)
     assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max() <= 1e-10
@@ -46,7 +47,7 @@ def test_matches_jacobi_oracle_on_random_symmetric():
 def test_rejects_symmetric_matrix_without_su2_symmetry():
     rng = np.random.Generator(np.random.Philox(5))
     M = rng.standard_normal((6, 6))
-    cm, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
+    cm, sm = _sector(0.0, 4, 2, 0)
     sm = sector.SectorMatrix(basis=sm.basis, couplings=cm, matrix=sparse.csr_array(0.5 * (M + M.T)))
     with pytest.raises(spectrum.SpectrumError, match="residual"):
         spectrum.diagonalize(sm)
@@ -54,14 +55,14 @@ def test_rejects_symmetric_matrix_without_su2_symmetry():
 
 @pytest.mark.parametrize("triangle", [sparse.triu, sparse.tril])
 def test_rejects_sector_block_missing_one_triangle(triangle):
-    _, sm = _sector(couplings.InfiniteRange(), 8, 3, 1)
+    _, sm = _sector(0.0, 8, 3, 1)
     half = sector.SectorMatrix(basis=sm.basis, couplings=sm.couplings, matrix=sparse.csr_array(triangle(sm.matrix)))
     with pytest.raises(spectrum.SpectrumError, match="residual"):
         spectrum.diagonalize(half)
 
 
 def test_eigensolve_is_deterministic():
-    _, sm = _sector(couplings.PowerLaw(1.0), 9, 2, 11)
+    _, sm = _sector(1.0, 9, 2, 11)
     a = spectrum.diagonalize(sm)
     b = spectrum.diagonalize(sm)
     assert np.array_equal(a.vectors, b.vectors)
@@ -69,7 +70,7 @@ def test_eigensolve_is_deterministic():
 
 
 def test_eigensolver_postconditions():
-    _, sm = _sector(couplings.NearestNeighbour(), 10, 3, 2)
+    _, sm = _sector(inf, 10, 3, 2)
     spec = spectrum.diagonalize(sm)
     H = sm.matrix.toarray()
     assert np.all(np.diff(spec.eigenvalues) >= 0)
@@ -81,7 +82,7 @@ def test_eigensolver_postconditions():
 def test_nonfinite_input_raises():
     # stored entry 0 is the diagonal H[0, 0]; the last one is off the diagonal
     for sites, magnons, bad, entry in ((6, 2, np.nan, 0), (10, 2, np.nan, -1), (10, 2, np.inf, 0)):
-        _, sm = _sector(couplings.InfiniteRange(), sites, magnons, 0)
+        _, sm = _sector(0.0, sites, magnons, 0)
         sm.matrix.data[entry] = bad
         with pytest.raises(spectrum.SpectrumError):
             spectrum.diagonalize(sm)
@@ -94,14 +95,14 @@ def test_group_degeneracies_simple():
 
 def test_triplet_grouping():
     J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cm = couplings.CouplingMatrix(couplings.InfiniteRange(), 2, J)
+    cm = couplings.CouplingMatrix(2, J)
     evals = np.sort(np.linalg.eigvalsh(sector.full_space_oracle(cm)))
     groups = spectrum.group_degeneracies(evals, 1e-8)
     assert groups == [(0, 1), (1, 4)]
 
 
 def test_columns_carry_their_spin_block():
-    _, sm = _sector(couplings.PowerLaw(1.0), 9, 4, 6)
+    _, sm = _sector(1.0, 9, 4, 6)
     spec = spectrum.diagonalize(sm)
     blocks = basis.total_spin_blocks(9, 4)
     assert spec.two_s.dtype.kind == "i"
@@ -115,7 +116,7 @@ def test_columns_carry_their_spin_block():
 
 
 def test_degenerate_mask():
-    _, sm = _sector(couplings.InfiniteRange(), 4, 2, 0)
+    _, sm = _sector(0.0, 4, 2, 0)
     spec = spectrum.Spectrum(
         matrix=sm,
         eigenvalues=np.array([1.0, 1.0, 2.0]),
@@ -128,7 +129,7 @@ def test_degenerate_mask():
 
 
 def test_nn_degeneracy_grouping_against_gap_scan():
-    cm, sm = _sector(couplings.NearestNeighbour(), 20, 1, 4)
+    cm, sm = _sector(inf, 20, 1, 4)
     spec = spectrum.diagonalize(sm)
     assert spec.groups == oracles.gap_scan_groups(spec.eigenvalues, spec.degtol)
     # multiplicity of the group holding the all-one eigenvalue S_J
@@ -138,7 +139,7 @@ def test_nn_degeneracy_grouping_against_gap_scan():
 
 
 def test_containment_infinite_range():
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), 12, 8)
+    cm = couplings.sample_couplings(12, 0.0, 8)
     s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(12, 1)))
     s2 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(12, 2)))
     assert spectrum.contains_spectrum(s2.eigenvalues, s1.eigenvalues, 1e-9)
@@ -160,15 +161,15 @@ def status_kib(field):
         return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
 
 def solve(L, m):
-    cm = couplings.sample_couplings(couplings.InfiniteRange(), L, 0)
+    cm = couplings.sample_couplings(L, 0.0, 0)
     return sector.assemble(cm, basis.build_basis(L, m))
 
 spectrum.diagonalize(solve(6, 3))  # first calls into BLAS, LAPACK and scipy.sparse
 L, m = int(sys.argv[1]), int(sys.argv[2])
 if sys.argv[3:] == ["sample"]:  # a whole CLI sample: bases, solve, labels and per-state statistics
-    cli.eigenstate_sample(couplings.InfiniteRange(), 6, 3, 0, 0)
+    cli.eigenstate_sample(0.0, 6, 3, 0, 0)
     before = status_kib("VmRSS")
-    cli.eigenstate_sample(couplings.InfiniteRange(), L, m, 0, 0)
+    cli.eigenstate_sample(0.0, L, m, 0, 0)
 else:
     sm = solve(L, m)
     before = status_kib("VmRSS")
