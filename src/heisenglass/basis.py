@@ -7,7 +7,7 @@ it coincides with the combinatorial number system, so ranking and
 unranking are O(L) and need no search.  A sector is stored once, as the
 read-only (dim, L) boolean matrix of which sites are up in each pattern.
 :func:`total_spin_blocks` splits a sector into orthonormal blocks of
-fixed total spin.
+fixed total spin, held side by side in one (dim, dim) array.
 """
 
 from __future__ import annotations
@@ -97,43 +97,56 @@ def build_basis(sites: int, magnons: int) -> SectorBasis:
     return SectorBasis(sites, magnons, occupancy)
 
 
-def total_spin_blocks(sites: int, magnons: int) -> dict[int, np.ndarray]:
-    """Orthonormal total-spin blocks of the m-magnon sector, keyed by 2S.
+def total_spin_blocks(sites: int, magnons: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal total-spin blocks of the m-magnon sector, side by side in one array.
 
-    Block ``Q[2S]`` has one row per basis state (ascending patterns) and
-    one column per spin-S multiplet; together the blocks form an
-    orthogonal matrix.  Keys ascend from 2|M| to L with M = m - L/2.
+    Returns ``(Q, two_s)``: Q is a C-ordered float64 (dim, dim) array with
+    one row per basis state (ascending patterns) and one column per
+    spin-S multiplet, and ``two_s[c]`` is the 2S of column c.  Columns of
+    one spin are contiguous and 2S ascends from 2|M| to L, with
+    M = m - L/2; Q is orthogonal.  The caller owns Q and may overwrite
+    it: :func:`spectrum.diagonalize` solves each block in its column
+    range and leaves the eigenvectors there.
 
     Sites are coupled one at a time with Clebsch-Gordan coefficients
     (Condon-Shortley phases).  On l sites the patterns with bit l-1
     clear list first and are sector (l-1, m) in order; those with the
     bit set follow as sector (l-1, m-1).  So the spin-S block stacks the
     parents' S - 1/2 and S + 1/2 blocks scaled by scalar factors: O(dim^2)
-    writes, no QR and no eigensolve.  Every column is an exact
-    eigenvector of the total spin, and the same column index labels the
-    same multiplet in every sector of the same L.
+    writes, no QR and no eigensolve.  Each level is written straight into
+    its sector's array, so the last one holds Q next to its two parent
+    sectors only.  Every column is an exact eigenvector of the total spin,
+    and the same column index labels the same multiplet in every sector
+    of the same L.
     """
     if sites < 1:
         raise ValueError(f"need at least one site, got {sites}")
     if not 0 <= magnons <= sites:
         raise ValueError(f"magnon number {magnons} outside 0..{sites}")
-    # sectors (l, k) that feed (sites, magnons): sector (0, 0) is a spin-0 singleton
-    level: dict[int, dict[int, np.ndarray]] = {0: {0: np.ones((1, 1))}}
+    # sectors (l, k) that feed (sites, magnons), each its array and its blocks
+    # keyed by 2S (column ranges of the array); (0, 0) is a spin-0 singleton
+    one = np.ones((1, 1))
+    level = {0: (one, {0: one})}
     for l in range(1, sites + 1):
         level = {
-            k: _couple_site(level.get(k, {}), level.get(k - 1, {}), l, k)
+            k: _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k)
             for k in range(max(0, magnons - sites + l), min(l, magnons) + 1)
         }
-    return level[magnons]
+    q, blocks = level[magnons]
+    return q, np.repeat(list(blocks), [b.shape[1] for b in blocks.values()])
 
 
-def _couple_site(down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int) -> dict[int, np.ndarray]:
-    """Blocks of sector (l, k) from those of (l-1, k) (site l-1 down) and (l-1, k-1) (up)."""
+def _couple_site(
+    down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Sector (l, k) from the blocks of (l-1, k) (site l-1 down) and (l-1, k-1) (up)."""
     n_down, n_up = comb(l - 1, k), comb(l - 1, k - 1) if k else 0
     m2 = 2 * k - l  # 2M
-    out = {}
+    q = np.empty((n_down + n_up, n_down + n_up))
+    blocks = {}
+    col = 0
     for s2 in range(abs(m2), l + 1, 2):
-        parts = []
+        start = col
         for p2 in (s2 - 1, s2 + 1):  # parent spin 2S' = 2S -+ 1
             qd, qu = down.get(p2), up.get(p2)
             if qd is None and qu is None:
@@ -143,18 +156,19 @@ def _couple_site(down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int,
             # S = S' + 1/2: (plus |S', M-1/2> up + minus |S', M+1/2> down)
             # S = S' - 1/2: (-minus |S', M-1/2> up + plus |S', M+1/2> down)
             c_down, c_up = (minus, plus) if p2 < s2 else (plus, -minus)
-            parts.append((qd, c_down, qu, c_up, (qd if qd is not None else qu).shape[1]))
-        block = np.zeros((n_down + n_up, sum(p[4] for p in parts)))
-        col = 0
-        for qd, c_down, qu, c_up, width in parts:
+            cols = slice(col, col + (qd if qd is not None else qu).shape[1])
             # a parent block is absent exactly where its factor vanishes (|M'| > S')
-            if qd is not None:
-                np.multiply(qd, c_down, out=block[:n_down, col : col + width])
-            if qu is not None:
-                np.multiply(qu, c_up, out=block[n_down:, col : col + width])
-            col += width
-        out[s2] = block
-    return out
+            if qd is None:
+                q[:n_down, cols] = 0.0
+            else:
+                np.multiply(qd, c_down, out=q[:n_down, cols])
+            if qu is None:
+                q[n_down:, cols] = 0.0
+            else:
+                np.multiply(qu, c_up, out=q[n_down:, cols])
+            col = cols.stop
+        blocks[s2] = q[:, start:col]
+    return q, blocks
 
 
 def rank(sites: int, magnons: int, pattern: int) -> int:

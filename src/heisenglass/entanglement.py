@@ -12,9 +12,10 @@ concurrence kernel, covers all pairs and a matrix of column states and
 needs only v, y and z: v = U^T (a*a) and y = D^T (a*a) are two matrix
 products with the 0/1 indicators U (both sites up) and D (both down),
 and z is the column-wise dot product of the (i up, j down) rows of a
-with their swap partners, the (i down, j up) rows.  The inverse
-participation ratio and participation ratio complete the per-state
-statistics.
+with their swap partners, the (i down, j up) rows.  At m = 1 and
+m = L - 1 one of v and y vanishes, and z alone gives the concurrence.
+The inverse participation ratio and participation ratio complete the
+per-state statistics.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 from .basis import SectorBasis
 
-# Columns per block in pair_concurrences.  A constant, never derived from
-# the machine, so every column is summed the same way on every run.
-_COLUMN_CHUNK = 128
+# Columns per panel wherever a kernel walks the columns of a dim x dim
+# eigenvector matrix (here, in spectrum and in ladder).  A constant, never
+# derived from the machine, so every column is summed the same way on every run.
+PANEL = 128
 
 
 def concurrence_from_elements(v: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -65,20 +67,27 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
         return out[:, 0] if squeeze else out
 
     ud, du = basis.swap_rows(first, second)
+    if ud.shape[1] == 1:
+        # m = 1 or L - 1: one antiparallel row per pair, and v (m = 1) or
+        # y (m = L - 1) is exactly 0, so C = 2 |z| needs no indicators
+        np.multiply(a[ud[:, 0]], a[du[:, 0]], out=out)
+        np.abs(out, out=out)
+        out *= 2.0
+        return out[:, 0] if squeeze else out
     up_i, up_j = basis.occupancy[:, first], basis.occupancy[:, second]
     both_up = (up_i & up_j).astype(np.float64)
     both_down = (~(up_i | up_j)).astype(np.float64)
     del up_i, up_j  # each del lowers the peak that pair_concurrence_bytes budgets
 
-    for lo in range(0, n_states, _COLUMN_CHUNK):
-        block = np.ascontiguousarray(a[:, lo : lo + _COLUMN_CHUNK])
+    for lo in range(0, n_states, PANEL):
+        block = np.ascontiguousarray(a[:, lo : lo + PANEL])
         sq = block * block
         v = both_up.T @ sq
         y = both_down.T @ sq
         z = np.empty_like(v)
         for p in range(first.size):
             z[p] = np.einsum("kc,kc->c", block[ud[p]], block[du[p]])
-        out[:, lo : lo + _COLUMN_CHUNK] = concurrence_from_elements(v, y, z)
+        out[:, lo : lo + PANEL] = concurrence_from_elements(v, y, z)
     return out[:, 0] if squeeze else out
 
 
@@ -86,29 +95,46 @@ def pair_concurrence_bytes(sites: int, magnons: int, n_states: int) -> int:
     """Upper estimate of the bytes :func:`pair_concurrences` allocates beyond its input.
 
     With dim = C(L, m) rows, P = C(L, 2) pairs and c = min(n_states,
-    128) columns per block: the two float64 dim x P pair indicators and
-    the four dim x P boolean arrays they are built from, the P x n_states
-    output, the swap-row tables and their index temporaries
-    (P C(L-2, m-1) each), and per block the column copy, its square, v, y
+    128) columns per block: the swap-row tables, their index temporaries
+    (P C(L-2, m-1) each) and the four dim x P boolean arrays they are built
+    from; the P x n_states output; at m = 1 and m = L - 1 the two gathered
+    antiparallel rows (P x n_states each), and otherwise the two float64
+    dim x P pair indicators and per block the column copy, its square, v, y
     and z (the concurrence formula runs in place in v and z).
     """
     dim, pairs = comb(sites, magnons), comb(sites, 2)
-    swaps = pairs * (comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0)
-    chunk = min(n_states, _COLUMN_CHUNK)
-    return 20 * dim * pairs + 8 * (pairs * n_states + 3 * swaps + 2 * dim * chunk + 3 * pairs * chunk)
+    width = comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0
+    tables = 4 * dim * pairs + 24 * pairs * width
+    if width == 1:
+        return tables + 24 * pairs * n_states
+    chunk = min(n_states, PANEL)
+    return tables + 16 * dim * pairs + 8 * (pairs * n_states + 2 * dim * chunk + 3 * pairs * chunk)
 
 
 def inverse_participation_ratio(coefficients: np.ndarray) -> np.ndarray | float:
     """Sum of fourth powers; 1 for a basis state, 1/dim for the uniform state.
 
     Computed as (a*a)**2 by squaring in place, which is an order of
-    magnitude faster than ``a**4`` and allocates one temporary.
+    magnitude faster than ``a**4``; the columns of a matrix go ``PANEL``
+    at a time, so the one temporary is at most dim x PANEL.
     """
     a = np.asarray(coefficients, dtype=np.float64)
+    if a.ndim == 1:
+        return float(_fourth_power_sums(a))
+    n = a.shape[1]
+    out = np.empty(n)
+    for lo in range(0, n, PANEL):
+        # numpy sums a lone column pairwise, as a 1-D array, and wider panels
+        # row by row: a last panel of one column reaches back by one
+        lo = max(0, min(lo, n - 2))
+        out[lo : lo + PANEL] = _fourth_power_sums(a[:, lo : lo + PANEL])
+    return out
+
+
+def _fourth_power_sums(a: np.ndarray) -> np.ndarray:
     sq = a * a
     sq *= sq
-    out = sq.sum(axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    return sq.sum(axis=0)
 
 
 def participation_ratio(coefficients: np.ndarray) -> np.ndarray | float:

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import SectorBasis, cleared_ranks
+from .entanglement import PANEL
 from .spectrum import Spectrum, SpectrumError
 
 LADDER_TOL = 0.5
@@ -96,15 +97,18 @@ def classify(spectrum: Spectrum, raising: sparse.csr_array) -> Classification:
 
     Every eigenvector lies in one total-spin block, so no rotation inside
     degeneracy groups is needed: the value is the squared norm of
-    sigma^- |psi>, taken as ``raising.T`` of :func:`promotion_map`, and a
-    state is promoted when it exceeds ``LADDER_TOL``.  Each value must
+    sigma^- |psi>, taken as ``raising.T`` of :func:`promotion_map` on
+    ``PANEL`` eigenvectors at a time, and a state is promoted when it
+    exceeds ``LADDER_TOL``.  Each value must
     match the integer S(S+1) - M^2 + M of the state's block to within
     1e-8 * max(1, integer); otherwise SpectrumError is raised, since the
     vector then mixes total spins or carries the wrong block label.
     """
     b = spectrum.matrix.basis
-    lowered = raising.T @ spectrum.vectors
-    values = np.einsum("ij,ij->j", lowered, lowered)
+    values = np.empty(spectrum.dim)
+    for lo in range(0, spectrum.dim, PANEL):
+        lowered = raising.T @ spectrum.vectors[:, lo : lo + PANEL]
+        values[lo : lo + PANEL] = np.einsum("ij,ij->j", lowered, lowered)
     m2 = 2 * b.magnons - b.sites  # 2M
     integers = (spectrum.two_s * (spectrum.two_s + 2) - m2 * m2 + 2 * m2) // 4
     off = ~(np.abs(values - integers) <= 1e-8 * np.maximum(1, integers))  # NaN is off too

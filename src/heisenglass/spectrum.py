@@ -9,6 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from . import basis, entanglement
+from .entanglement import PANEL
 from .sector import SectorMatrix
 
 
@@ -23,20 +24,24 @@ _LIBRARY_BYTES = 16 * 2**20
 def solve_bytes(sites: int, magnons: int) -> int:
     """Upper estimate of the bytes one sample's solve and statistics add above its sparse input.
 
-    Counts the largest set of arrays alive at once in each phase of
-    :func:`diagonalize`, the classification and the pair concurrences
-    after it, with dim = C(L, m) and d the widest spin block, in float64
-    words unless stated:
+    The dim x dim array of :func:`diagonalize`, dim = C(L, m), lives from
+    the spin-block build to the last per-state statistic.  Next to it,
+    with d the widest spin block and p = ``PANEL``, this counts the
+    largest set of arrays alive at once in each phase, in float64 words
+    unless stated:
 
-    * spin-block build: the dim^2 of blocks next to both parent sectors';
-    * block solve: the blocks (or the V_S replacing them), H Q_S and
-      inside eigh the matrix A, its copy, a 2 d^2 workspace and X; or,
-      after eigh, H Q_S, V_S and H V_S next to X;
-    * merge and Gram check: the merged copy next to the blocks and |V_S|,
-      then next to V^T V;
-    * classification: the eigenvectors and their sigma^- image;
-    * pair concurrences: the eigenvectors, the promoted columns copied
-      out of them, and the bytes of
+    * spin-block build: the arrays of both parent sectors (L-1, m) and
+      (L-1, m-1);
+    * block solve: H Q_S next to scipy's contiguous copy of the strided
+      Q_S, or next to Q_S X_S before it is written back and X; H Q_S next
+      to eigh's A, its copy, a 2 d^2 workspace and X; then H Q_S, X and
+      two dim x p residual panels;
+    * sort and orthonormality check: one row panel, or one Gram panel of
+      at most dim x p;
+    * classification: a contiguous copy of p eigenvectors and its
+      sigma^- image, p (dim + C(L, m-1));
+    * pair concurrences: the promoted columns copied out of the
+      eigenvectors, and the bytes of
       :func:`entanglement.pair_concurrence_bytes` for dim columns, which
       dominate at small m (its indicators are dim x C(L, 2)).
 
@@ -45,16 +50,16 @@ def solve_bytes(sites: int, magnons: int) -> int:
     """
     dim = comb(sites, magnons)
     d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
+    lower = comb(sites, magnons - 1)
     words = max(
-        dim * dim + comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
-        dim * dim + dim * d + 5 * d * d,
-        dim * dim + 2 * dim * d + d * d,
-        2 * dim * dim + dim * d,
-        dim * dim + comb(sites, magnons - 1) * dim,
+        comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
+        2 * dim * d + d * d,
+        dim * d + 5 * d * d,
+        dim * d + d * d + 2 * PANEL * dim,
+        PANEL * (dim + lower),
     )
-    promoted = min(comb(sites, magnons - 1), dim)
-    concurrence = 8 * (dim * dim + dim * promoted) + entanglement.pair_concurrence_bytes(sites, magnons, dim)
-    return max(8 * words, concurrence) + 8 * dim * dim + _LIBRARY_BYTES
+    concurrence = 8 * dim * min(lower, dim) + entanglement.pair_concurrence_bytes(sites, magnons, dim)
+    return 16 * dim * dim + max(8 * words, concurrence) + _LIBRARY_BYTES
 
 
 class SpectrumError(RuntimeError):
@@ -65,8 +70,9 @@ class SpectrumError(RuntimeError):
 class Spectrum:
     """Eigendecomposition of one sector matrix.
 
-    Eigenvalues ascend; eigenvector k is column k of ``vectors`` and lies
-    in the total-spin block ``two_s[k]`` = 2S.  ``groups`` lists
+    Eigenvalues ascend; eigenvector k is column k of ``vectors``, a
+    C-ordered (dim, dim) array, and lies in the total-spin block
+    ``two_s[k]`` = 2S.  ``groups`` lists
     contiguous (start, stop) index ranges of eigenvalues that chain
     together within ``degtol`` = 1e-8 * max(1, ||H||_F).
     """
@@ -109,49 +115,44 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
 
     ``sm.matrix`` is a canonical CSR matrix that must commute with the
     total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
-    does.  For each spin-S block Q_S of :func:`basis.total_spin_blocks`
-    it forms the sparse-times-dense product H Q_S, solves the small
-    problem A = Q_S^T (H Q_S) with LAPACK and returns V_S = Q_S X_S; the
-    blocks merge ascending by a stable sort.  No dense dim x dim copy of
-    H is made.  The residual of every returned column is formed from
-    (H Q_S) X_S, which by associativity is H V_S.
+    does.  One (dim, dim) array carries the whole solve: it starts as the
+    spin blocks Q_S of :func:`basis.total_spin_blocks`, :func:`_solve_block`
+    replaces each block by its eigenvectors V_S = Q_S X_S in place, and the
+    columns are then sorted into ascending eigenvalue order one row panel
+    at a time.  The array is returned as ``vectors``; no dense copy of H,
+    no merged copy of the eigenvectors and no dim x dim Gram matrix is
+    made.
 
     Raises SpectrumError for a non-finite stored entry, an eigenpair
     residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
     without SU(2) symmetry, or an asymmetric one, produces), eigenvectors that are not
-    orthonormal, or an eigenvalue sum that disagrees with the trace,
-    instead of returning a silently bad decomposition.
+    orthonormal (:func:`orthonormality_deviation` above 1e-10), or an
+    eigenvalue sum that disagrees with the trace, instead of returning a
+    silently bad decomposition.
     """
     H = sm.matrix
     if not np.isfinite(H.data).all():
         raise SpectrumError("sector matrix has non-finite entries")
-    blocks = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
-    keys = list(blocks)
-    solved = [_solve_block(H, blocks.pop(two_s), two_s) for two_s in keys]
+    vectors, block_two_s = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
+    starts = np.flatnonzero(np.diff(block_two_s, prepend=-1)).tolist()
+    solved = [
+        _solve_block(H, vectors[:, lo:hi], int(block_two_s[lo])) for lo, hi in zip(starts, starts[1:] + [sm.dim])
+    ]
 
-    evals_by_block = np.concatenate([w for w, _, _ in solved])
+    evals_by_block = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals_by_block, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
     evals = evals_by_block[order]
-    two_s = np.repeat(keys, [w.size for w, _, _ in solved])[order]
-    residual = np.concatenate([r for _, _, r in solved])
+    two_s = block_two_s[order]
+    residual = np.concatenate([r for _, r in solved])
 
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
     worst = float(residual.max(initial=0.0))
     if not worst <= RESIDUAL_RTOL * scale:
         raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F")
 
-    # each block is dropped once placed, so blocks and merged copy never coexist in full
-    vectors = np.empty((sm.dim, sm.dim))
-    start = 0
-    while solved:
-        V = solved.pop(0)[1]
-        vectors[:, position[start : start + V.shape[1]]] = V
-        start += V.shape[1]
-    gram = vectors.T @ vectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    ortho = float(np.abs(gram, out=gram).max(initial=0.0))
+    for lo in range(0, sm.dim, PANEL):
+        vectors[lo : lo + PANEL] = vectors[lo : lo + PANEL][:, order]
+    ortho = orthonormality_deviation(vectors)
     if not ortho <= 1e-10:
         raise SpectrumError(f"eigenvectors not orthonormal, deviation {ortho:.3e}")
     tr = float(H.diagonal().sum())
@@ -169,19 +170,45 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     )
 
 
-def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors V = Q X and residual norms |H V - V w| of one spin block."""
+def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and residual norms |H V - V w| of one spin block, whose columns Q become V = Q X.
+
+    ``Q`` is a column range of the solve's array, passed to BLAS as a
+    strided view.  H Q is a sparse-times-dense product (scipy copies the
+    view once for it), A = Q^T (H Q) goes to LAPACK, and Q X is formed
+    whole before it overwrites Q.  The residuals are taken from (H Q) X,
+    which by associativity is H V, ``PANEL`` columns at a time.
+    """
     HQ = H @ Q
     try:
         w, X = np.linalg.eigh(Q.T @ HQ)
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
-    V = Q @ X
-    del Q  # each del lowers the peak that solve_bytes budgets
-    HV = HQ @ X  # = H V by associativity
-    HV -= np.multiply(V, w, out=HQ)
-    del HQ
-    return w, V, np.linalg.norm(HV, axis=0)
+    Q[...] = Q @ X
+    residual = np.empty(w.size)
+    for lo in range(0, w.size, PANEL):
+        cols = slice(lo, lo + PANEL)
+        HV = HQ @ X[:, cols]
+        HV -= Q[:, cols] * w[cols]
+        residual[cols] = np.linalg.norm(HV, axis=0)
+    return w, residual
+
+
+def orthonormality_deviation(vectors: np.ndarray) -> float:
+    """max |V^T V - I| over the columns of ``vectors``, from ``PANEL`` rows of the Gram at a time.
+
+    The Gram is symmetric, so each panel of rows lo .. hi is formed only up
+    to its own diagonal block, G[lo:hi, :hi]: together the panels cover one
+    triangle and the diagonal, with at most PANEL x n words alive.
+    """
+    n = vectors.shape[1]
+    worst = np.float64(0.0)
+    for lo in range(0, n, PANEL):
+        hi = min(lo + PANEL, n)
+        gram = vectors[:, lo:hi].T @ vectors[:, :hi]
+        gram[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        worst = np.maximum(worst, np.abs(gram, out=gram).max())  # NaN propagates
+    return float(worst)
 
 
 def contains_spectrum(outer: np.ndarray, inner: np.ndarray, tol: float) -> bool:

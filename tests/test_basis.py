@@ -145,12 +145,15 @@ spin_sectors = st.integers(1, 12).flatmap(lambda L: st.tuples(st.just(L), st.int
 @example((7, 5))
 def test_total_spin_blocks_orthonormal_with_multiplet_counts(sector_lm):
     sites, magnons = sector_lm
-    blocks = basis.total_spin_blocks(sites, magnons)
-    assert list(blocks) == list(range(abs(2 * magnons - sites), sites + 1, 2))
-    for two_s, q in blocks.items():
-        n = (sites - two_s) // 2
-        assert q.shape == (comb(sites, magnons), comb(sites, n) - (comb(sites, n - 1) if n else 0))
-    Q = np.hstack(list(blocks.values()))
+    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    dim = comb(sites, magnons)
+    assert Q.shape == (dim, dim) and Q.dtype == np.float64 and Q.flags.c_contiguous
+    assert two_s.shape == (dim,) and two_s.dtype.kind == "i" and np.all(np.diff(two_s) >= 0)
+    keys, counts = np.unique(two_s, return_counts=True)
+    assert keys.tolist() == list(range(abs(2 * magnons - sites), sites + 1, 2))
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        n = (sites - key) // 2
+        assert count == comb(sites, n) - (comb(sites, n - 1) if n else 0)
     assert np.abs(Q.T @ Q - np.eye(Q.shape[0])).max() <= 1e-13
 
 
@@ -162,9 +165,9 @@ def test_total_spin_blocks_are_ladder_eigenspaces(sector_lm):
     sites, magnons = sector_lm
     raising = ladder.promotion_map(basis.build_basis(sites, magnons))
     m2 = 2 * magnons - sites
-    for two_s, q in basis.total_spin_blocks(sites, magnons).items():
-        value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) / 4
-        assert np.abs(raising @ (raising.T @ q) - value * q).max() <= 1e-12
+    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) / 4
+    assert np.abs(raising @ (raising.T @ Q) - value * Q).max() <= 1e-12
 
 
 @given(spin_sectors.filter(lambda lm: lm[0] >= 2), st.integers(0, 2**32 - 1))
@@ -174,7 +177,7 @@ def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
     sites, magnons = sector_lm
     cm = couplings.sample_couplings(sites, 0.0, seed)
     H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix.toarray()
-    blocks = list(basis.total_spin_blocks(sites, magnons).values())
-    for a, qa in enumerate(blocks):
-        for qb in blocks[a + 1 :]:
-            assert np.abs(qa.T @ H @ qb).max() <= 1e-12 * max(1.0, np.linalg.norm(H))
+    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    # every entry of Q^T H Q between columns of different spin vanishes
+    coupling = (Q.T @ H @ Q)[two_s[:, None] != two_s[None, :]]
+    assert np.abs(coupling).max(initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(H))

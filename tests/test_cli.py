@@ -242,9 +242,27 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
         ["spectrum-report", "-L", "16", "-m", "8", "--workers", "1", "--out", str(tmp_path / "out")]))
 
 
+def test_half_filled_l16_report_fits_two_workers_in_7_83_gib(tmp_path, monkeypatch):
+    # L=16, m=8 (dim 12870): each worker's solve holds one dim x dim array of
+    # eigenvectors, so two samples on two workers pass validation on 7.83 GiB
+    def no_sampling(*args):
+        raise AssertionError("validation must not start a sample")
+
+    monkeypatch.setattr(couplings, "sample_couplings", no_sampling)
+    monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (str(tmp_path / "absent"),))
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.83 * 2**30) // 4096}
+    monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["spectrum-report", "-L", "16", "-m", "8", "--samples", "2", "--workers", "2",
+            "--out", str(tmp_path / "out")]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))  # validates
+    assert cli._pool_size(cfg.workers, cfg.samples) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_pair_kernel_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
-    # at m = 1 the dim x C(L, 2) pair indicators of the concurrence kernel
-    # outweigh the solve: L=800 needs 4 GB of them
+    # at m = 1 the C(L, 2) x L output of the concurrence kernel and its two
+    # gathered antiparallel rows outweigh the solve: L=800 needs 6 GB of them
     def no_sampling(*args):
         raise AssertionError("validation must reject the run before any allocation")
 

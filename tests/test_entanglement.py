@@ -173,18 +173,47 @@ def test_pair_concurrences_on_a_sector_wider_than_64_sites():
 
 def test_pair_concurrences_independent_of_column_blocking():
     b = basis.build_basis(9, 3)
-    n = 2 * entanglement._COLUMN_CHUNK + 7
+    n = 2 * entanglement.PANEL + 7
     rng = np.random.Generator(np.random.Philox(43))
     cols = rng.standard_normal((b.dim, n))
     cols /= np.linalg.norm(cols, axis=0)
     full = entanglement.pair_concurrences(b, cols)
     assert full.shape == (36, n)
-    lo, hi = entanglement._COLUMN_CHUNK - 5, entanglement._COLUMN_CHUNK + 20
+    lo, hi = entanglement.PANEL - 5, entanglement.PANEL + 20
     assert np.abs(entanglement.pair_concurrences(b, cols[:, lo:hi]) - full[:, lo:hi]).max() <= 1e-14
     for k in (0, lo, n - 1):
         single = entanglement.pair_concurrences(b, cols[:, k])
         assert single.shape == (36,)
         assert np.abs(single - full[:, k]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("sites", [7, 30])
+@pytest.mark.parametrize("hole", [False, True])
+def test_pair_concurrences_with_one_magnon_or_one_hole(sites, hole):
+    # m = 1 or L - 1: one antiparallel row per pair, where the kernel skips
+    # the pair indicators; it must agree with the general formula bit for bit
+    b = basis.build_basis(sites, sites - 1 if hole else 1)
+    rng = np.random.Generator(np.random.Philox(sites + hole))
+    cols = rng.standard_normal((b.dim, 6))
+    cols /= np.linalg.norm(cols, axis=0)
+    cols[:, 4] = 0.0
+    cols[0, 5] = -0.0
+    kernel = entanglement.pair_concurrences(b, cols)
+    for row, (i, j) in enumerate(oracles.site_pairs(sites)):
+        v, _, _, y, z = oracles.pair_elements_by_masks(b, cols, i, j)
+        assert np.array_equal(kernel[row], entanglement.concurrence_from_elements(v, y, z))
+    assert np.array_equal(entanglement.pair_concurrences(b, cols[:, 2]), kernel[:, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2 * entanglement.PANEL + 1, 2 * entanglement.PANEL + 7])
+def test_inverse_participation_ratio_sums_each_column_as_one_reduction(n):
+    # the panelled kernel adds each column's fourth powers in the order one
+    # reduction over the whole matrix does, also where a last panel holds one column
+    rng = np.random.Generator(np.random.Philox(n))
+    a = rng.standard_normal((500, n))
+    sq = a * a
+    sq *= sq
+    assert np.array_equal(entanglement.inverse_participation_ratio(a), sq.sum(axis=0))
 
 
 def test_participation_ratio_limits():

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from math import inf
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,56 @@ def test_eigensolver_postconditions():
     assert (spec.eigenvalues**2).sum() == pytest.approx(np.linalg.norm(H) ** 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("first,second", [
+    (3, 40),  # off the diagonal, in the first panel of 128 rows
+    (150, 200),  # in a middle panel
+    (20, 290),  # in the last, partial panel (300 = 128 + 128 + 44)
+    (290, 290),  # on the diagonal, in the last panel
+])
+def test_panelled_orthonormality_matches_dense_gram(first, second):
+    rng = np.random.Generator(np.random.Philox(9))
+    V, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    V = np.ascontiguousarray(V)
+    if first == second:
+        V[:, first] *= 1.0 + 1e-6
+    else:
+        V[:, second] += 1e-6 * V[:, first]
+    dense = np.abs(V.T @ V - np.eye(300)).max()
+    assert dense > 1e-7  # the perturbation, not rounding, sets the deviation
+    assert abs(spectrum.orthonormality_deviation(V) - dense) <= 1e-15
+
+
+def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
+    # a column scaled by 1 + 1e-7 keeps a residual near rounding, so only the
+    # Gram check (its diagonal) can catch it
+    eigh = np.linalg.eigh
+    scaled = []
+
+    def scale_one_column(a):
+        w, X = eigh(a)
+        if not scaled and X.shape[1] > 1:
+            X[:, 1] *= 1.0 + 1e-7
+            scaled.append(X.shape[1])
+        return w, X
+
+    monkeypatch.setattr(np.linalg, "eigh", scale_one_column)
+    _, sm = _sector(1.0, 10, 4, 3)
+    with pytest.raises(spectrum.SpectrumError, match="not orthonormal"):
+        spectrum.diagonalize(sm)
+    assert scaled
+
+
+def test_sorted_columns_are_eigenpairs_of_the_dense_matrix():
+    # dim 210 spans two row panels of the in-place sort; five spin blocks interleave in energy
+    _, sm = _sector(1.0, 10, 4, 8)
+    spec = spectrum.diagonalize(sm)
+    H = sm.matrix.toarray()
+    assert np.unique(spec.two_s).size == 5 and np.any(np.diff(spec.two_s) != 0)
+    residual = np.linalg.norm(H @ spec.vectors - spec.vectors * spec.eigenvalues, axis=0)
+    assert residual.max() <= 1e-10 * np.linalg.norm(H)
+    assert spec.vectors.flags.c_contiguous
+
+
 def test_nonfinite_input_raises():
     # stored entry 0 is the diagonal H[0, 0]; the last one is off the diagonal
     for sites, magnons, bad, entry in ((6, 2, np.nan, 0), (10, 2, np.nan, -1), (10, 2, np.inf, 0)):
@@ -104,14 +154,14 @@ def test_triplet_grouping():
 def test_columns_carry_their_spin_block():
     _, sm = _sector(1.0, 9, 4, 6)
     spec = spectrum.diagonalize(sm)
-    blocks = basis.total_spin_blocks(9, 4)
+    Q, block_two_s = basis.total_spin_blocks(9, 4)
     assert spec.two_s.dtype.kind == "i"
-    assert {k: int((spec.two_s == k).sum()) for k in blocks} == {k: q.shape[1] for k, q in blocks.items()}
+    assert np.array_equal(np.sort(spec.two_s), block_two_s)
     # column k lies entirely in the span of block two_s[k]
     inside = np.empty(spec.dim)
-    for k, q in blocks.items():
+    for k in np.unique(block_two_s):
         cols = spec.two_s == k
-        inside[cols] = np.linalg.norm(q.T @ spec.vectors[:, cols], axis=0)
+        inside[cols] = np.linalg.norm(Q[:, block_two_s == k].T @ spec.vectors[:, cols], axis=0)
     assert np.abs(inside - 1.0).max() <= 1e-12
 
 
@@ -199,7 +249,19 @@ def test_solve_peak_stays_within_budget(sites, magnons):
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("sites,magnons", [(150, 1)])
 def test_sample_peak_stays_within_budget(sites, magnons):
-    # A whole eigenstate sample at m = 1, where the dim x C(L, 2) pair
-    # indicators of the concurrence kernel outweigh the solve.
+    # A whole eigenstate sample at m = 1, where the C(L, 2) x L output of the
+    # concurrence kernel and its two gathered rows outweigh the solve.
     growth = _peak_growth(sites, magnons, "sample")
     assert 0 < growth < spectrum.solve_bytes(sites, magnons)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
+@pytest.mark.parametrize("args,limit", [
+    ((13, 6, "sample"), 2.5),  # one (dim, dim) array per solve: no merged copy, no dim x dim Gram
+    ((14, 7, "sample"), 2.5),
+    ((60, 2), 7.5),  # one block of nearly dim columns: no contiguous copy of it besides scipy's
+])
+def test_peak_growth_in_dense_matrices(args, limit):
+    # Peak resident set above the starting one, in units of one dim x dim float64 array.
+    dim = comb(args[0], args[1])
+    assert _peak_growth(*args) < limit * 8 * dim * dim
