@@ -143,8 +143,10 @@ def _classified_sample(
 class StateArrays(NamedTuple):
     """Per-eigenstate columns of one disorder realization, ascending in energy.
 
-    ``promoted`` holds the ladder labels and ``degenerate`` is 1 for
-    states in a degeneracy group, 0 otherwise.
+    Each statistic is computed on the spin-block-ordered eigenvectors of
+    :func:`spectrum.diagonalize` and put into energy order by the one
+    permutation ``Spectrum.order``.  ``promoted`` holds the ladder labels
+    and ``degenerate`` is 1 for states in a degeneracy group, 0 otherwise.
     """
 
     eigenvalue: np.ndarray
@@ -164,12 +166,14 @@ def eigenstate_sample(
 ) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
     cm, upper, spec, cls = _classified_sample(sigma, sites, magnons, master_seed, index)
+    order = spec.order
+    eigenvalue = spec.eigenvalues[order]
     return StateArrays(
-        eigenvalue=spec.eigenvalues,
-        e_minus_sj=spec.eigenvalues - cm.coupling_sum(),
-        avg_concurrence=entanglement.pair_concurrences(upper, spec.vectors).mean(axis=0),
-        participation=entanglement.participation_ratio(spec.vectors),
-        promoted=cls.labels,
+        eigenvalue=eigenvalue,
+        e_minus_sj=eigenvalue - cm.coupling_sum(),
+        avg_concurrence=entanglement.pair_concurrences(upper, spec.vectors).mean(axis=0)[order],
+        participation=entanglement.participation_ratio(spec.vectors)[order],
+        promoted=cls.labels[order],
         degenerate=spec.degenerate_mask().astype(np.int64),
     )
 
@@ -190,10 +194,23 @@ def _eigen_job(args: tuple) -> StateArrays:
 
 
 def _promoted_summary_job(args: tuple) -> tuple[float, float]:
-    """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states."""
+    """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states.
+
+    The spin blocks ascend in 2S and only the lowest one, 2S = L - 2m
+    when 2m <= L, holds new states, so the promoted states are the last
+    ``n_promoted`` columns of ``spec.vectors``: a view, not a copy.
+    Raises InvariantError unless the labels agree.  The per-state values
+    are averaged in energy order.
+    """
     _, upper, spec, cls = _classified_sample(*args)
-    pc = entanglement.pair_concurrences(upper, spec.vectors[:, cls.labels == ladder.PROMOTED])
-    return float(pc.mean(axis=0).mean()), float((pc > 0.0).mean(axis=0).mean())
+    first = spec.dim - cls.n_promoted
+    if not np.all(cls.labels[first:] == ladder.PROMOTED):
+        raise InvariantError(
+            f"sample {args[4]} (L={args[1]}, m={args[2]}): promoted states are not the last {cls.n_promoted} columns"
+        )
+    pc = entanglement.pair_concurrences(upper, spec.vectors[:, first:])
+    energy = spec.order[spec.order >= first] - first  # promoted columns in energy order
+    return float(pc.mean(axis=0)[energy].mean()), float((pc > 0.0).mean(axis=0)[energy].mean())
 
 
 def _pool_size(workers: int, n_jobs: int) -> int:

@@ -36,12 +36,10 @@ def solve_bytes(sites: int, magnons: int) -> int:
       Q_S, or next to Q_S X_S before it is written back and X; H Q_S next
       to eigh's A, its copy, a 2 d^2 workspace and X; then H Q_S, X and
       two dim x p residual panels;
-    * sort and orthonormality check: one row panel, or one Gram panel of
-      at most dim x p;
+    * orthonormality check: one Gram panel of at most dim x p;
     * classification: a contiguous copy of p eigenvectors and its
       sigma^- image, p (dim + C(L, m-1));
-    * pair concurrences: the promoted columns copied out of the
-      eigenvectors, and the bytes of
+    * pair concurrences: the bytes of
       :func:`entanglement.pair_concurrence_bytes` for dim columns, which
       dominate at small m (its indicators are dim x C(L, 2)).
 
@@ -50,15 +48,14 @@ def solve_bytes(sites: int, magnons: int) -> int:
     """
     dim = comb(sites, magnons)
     d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
-    lower = comb(sites, magnons - 1)
     words = max(
         comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
         2 * dim * d + d * d,
         dim * d + 5 * d * d,
         dim * d + d * d + 2 * PANEL * dim,
-        PANEL * (dim + lower),
+        PANEL * (dim + comb(sites, magnons - 1)),
     )
-    concurrence = 8 * dim * min(lower, dim) + entanglement.pair_concurrence_bytes(sites, magnons, dim)
+    concurrence = entanglement.pair_concurrence_bytes(sites, magnons, dim)
     return 16 * dim * dim + max(8 * words, concurrence) + _LIBRARY_BYTES
 
 
@@ -68,12 +65,16 @@ class SpectrumError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Eigendecomposition of one sector matrix.
+    """Eigendecomposition of one sector matrix, in spin-block order.
 
-    Eigenvalues ascend; eigenvector k is column k of ``vectors``, a
-    C-ordered (dim, dim) array, and lies in the total-spin block
-    ``two_s[k]`` = 2S.  ``groups`` lists
-    contiguous (start, stop) index ranges of eigenvalues that chain
+    Eigenvector k is column k of ``vectors``, a C-ordered (dim, dim)
+    array, with eigenvalue ``eigenvalues[k]``, and lies in the total-spin
+    block ``two_s[k]`` = 2S.  The blocks follow each other with 2S
+    ascending, and the eigenvalues ascend within each block.  ``order``
+    is the stable argsort of ``eigenvalues``, the one permutation into
+    energy order: ``eigenvalues[order]`` ascends.  ``groups`` and
+    :meth:`degenerate_mask` are in energy order: ``groups`` lists
+    contiguous (start, stop) ranges of ``eigenvalues[order]`` that chain
     together within ``degtol`` = 1e-8 * max(1, ||H||_F).
     """
 
@@ -81,6 +82,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     two_s: np.ndarray
+    order: np.ndarray
     degtol: float
     groups: list[tuple[int, int]] = field(repr=False)
 
@@ -89,6 +91,7 @@ class Spectrum:
         return self.eigenvalues.size
 
     def degenerate_mask(self) -> np.ndarray:
+        """Is state ``order[k]`` in a group of more than one eigenvalue?"""
         mask = np.zeros(self.dim, dtype=bool)
         for a, b in self.groups:
             if b - a > 1:
@@ -116,12 +119,13 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     ``sm.matrix`` is a canonical CSR matrix that must commute with the
     total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
     does.  One (dim, dim) array carries the whole solve: it starts as the
-    spin blocks Q_S of :func:`basis.total_spin_blocks`, :func:`_solve_block`
-    replaces each block by its eigenvectors V_S = Q_S X_S in place, and the
-    columns are then sorted into ascending eigenvalue order one row panel
-    at a time.  The array is returned as ``vectors``; no dense copy of H,
-    no merged copy of the eigenvectors and no dim x dim Gram matrix is
-    made.
+    spin blocks Q_S of :func:`basis.total_spin_blocks`, and :func:`_solve_block`
+    replaces each block by its eigenvectors V_S = Q_S X_S in place.  The
+    array is returned as ``vectors`` in that spin-block order, so the
+    residual check of each block covers the returned columns themselves;
+    energy order is the permutation ``order`` of the 1-D outputs alone.
+    No dense copy of H, no merged copy of the eigenvectors and no
+    dim x dim Gram matrix is made.
 
     Raises SpectrumError for a non-finite stored entry, an eigenpair
     residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
@@ -133,16 +137,10 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     H = sm.matrix
     if not np.isfinite(H.data).all():
         raise SpectrumError("sector matrix has non-finite entries")
-    vectors, block_two_s = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
-    starts = np.flatnonzero(np.diff(block_two_s, prepend=-1)).tolist()
-    solved = [
-        _solve_block(H, vectors[:, lo:hi], int(block_two_s[lo])) for lo, hi in zip(starts, starts[1:] + [sm.dim])
-    ]
-
-    evals_by_block = np.concatenate([w for w, _ in solved])
-    order = np.argsort(evals_by_block, kind="stable")
-    evals = evals_by_block[order]
-    two_s = block_two_s[order]
+    vectors, two_s = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
+    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
+    solved = [_solve_block(H, vectors[:, lo:hi], int(two_s[lo])) for lo, hi in zip(starts, starts[1:] + [sm.dim])]
+    evals = np.concatenate([w for w, _ in solved])
     residual = np.concatenate([r for _, r in solved])
 
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
@@ -150,8 +148,6 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     if not worst <= RESIDUAL_RTOL * scale:
         raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F")
 
-    for lo in range(0, sm.dim, PANEL):
-        vectors[lo : lo + PANEL] = vectors[lo : lo + PANEL][:, order]
     ortho = orthonormality_deviation(vectors)
     if not ortho <= 1e-10:
         raise SpectrumError(f"eigenvectors not orthonormal, deviation {ortho:.3e}")
@@ -160,13 +156,15 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
         raise SpectrumError("eigenvalue sum disagrees with trace")
 
     degtol = 1e-8 * scale
+    order = np.argsort(evals, kind="stable")
     return Spectrum(
         matrix=sm,
         eigenvalues=evals,
         vectors=vectors,
         two_s=two_s,
+        order=order,
         degtol=degtol,
-        groups=group_degeneracies(evals, degtol),
+        groups=group_degeneracies(evals[order], degtol),
     )
 
 
@@ -215,8 +213,12 @@ def contains_spectrum(outer: np.ndarray, inner: np.ndarray, tol: float) -> bool:
     """Is every eigenvalue of ``inner`` matched (with multiplicity) in ``outer``?
 
     Greedy two-pointer scan over the ascending arrays; each outer value
-    is consumed at most once.
+    is consumed at most once.  Raises ValueError unless both arrays
+    ascend (a spectrum in spin-block order is passed as
+    ``eigenvalues[order]``).
     """
+    if not (np.all(np.diff(outer) >= 0) and np.all(np.diff(inner) >= 0)):  # NaN fails too
+        raise ValueError("contains_spectrum needs ascending eigenvalues")
     i = 0
     for lam in inner:
         while i < outer.size and outer[i] < lam - tol:

@@ -134,7 +134,7 @@ def _check_promotion_commutes() -> CheckResult:
     resid = float(np.abs(H2 @ P - P @ H1).max(initial=0.0))
     s1 = spectrum.diagonalize(sector.assemble(cm, b1))
     s2 = spectrum.diagonalize(sector.assemble(cm, b2))
-    contained = spectrum.contains_spectrum(s2.eigenvalues, s1.eigenvalues, 1e-9)
+    contained = spectrum.contains_spectrum(s2.eigenvalues[s2.order], s1.eigenvalues[s1.order], 1e-9)
     ok = resid <= 1e-9 and contained
     return ("promotion-commutes", ok, f"commutator {resid:.2e}, containment {contained}")
 
@@ -220,7 +220,7 @@ def _check_degeneracy_grouping() -> CheckResult:
     sm = sector.assemble(cm, basis.build_basis(12, 1))
     spec = spectrum.diagonalize(sm)
     # brute-force gap scan must induce the same grouping
-    ev = spec.eigenvalues
+    ev = spec.eigenvalues[spec.order]
     cuts = [k for k in range(1, ev.size) if ev[k] - ev[k - 1] > spec.degtol]
     starts = [0] + cuts
     stops = cuts + [ev.size]
@@ -232,7 +232,7 @@ def _check_jacobi() -> CheckResult:
     cm = couplings.sample_couplings(6, 1.0, 17)
     sm = sector.assemble(cm, basis.build_basis(6, 2))
     spec = spectrum.diagonalize(sm)
-    dev = float(np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max(initial=0.0))
+    dev = float(np.abs(spec.eigenvalues[spec.order] - jacobi_eigenvalues(sm.matrix.toarray())).max(initial=0.0))
     return ("eigensolver-jacobi", dev <= 1e-10, f"max eigenvalue deviation {dev:.2e}")
 
 

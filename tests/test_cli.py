@@ -459,6 +459,52 @@ def test_every_state_promoted_above_half_filling(tmp_path):
     assert [line.split(",")[6] for line in lines[1:]] == ["1"] * 15
 
 
+@pytest.mark.parametrize("sites,magnons", [(8, 3), (7, 5)])  # 2m < L and 2m > L
+def test_every_row_pairs_its_statistics_with_its_energy(sites, magnons):
+    # dense eigh of the whole sector, sorted by energy, against each row of
+    # eigenstate_sample: a 1-D output left in spin-block order lands on the
+    # wrong energy
+    seed, index = 5, 1
+    rows = cli.eigenstate_sample(0.0, sites, magnons, seed, index)
+    cm = couplings.sample_couplings(sites, 0.0, couplings.sample_seed(seed, index))
+    b = basis.build_basis(sites, magnons)
+    w, U = np.linalg.eigh(sector.assemble(cm, b).matrix.toarray())
+    assert np.abs(rows.eigenvalue - w).max() <= 1e-10
+    gaps = np.diff(w)
+    isolated = np.flatnonzero(np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-6)
+    assert isolated.size >= 0.9 * w.size
+    lowered = ladder.promotion_map(b).T @ U[:, isolated]
+    labels = np.where(np.einsum("ij,ij->j", lowered, lowered) > 0.5, ladder.PROMOTED, ladder.NEW)
+    assert np.array_equal(rows.promoted[isolated], labels)
+    conc = entanglement.pair_concurrences(b, U[:, isolated]).mean(axis=0)
+    assert np.abs(rows.avg_concurrence[isolated] - conc).max() <= 1e-12
+    pr = entanglement.participation_ratio(U[:, isolated])
+    assert np.abs(rows.participation[isolated] - pr).max() <= 1e-9 * pr.max()
+
+    mean_c, positive = cli._promoted_summary_job((0.0, sites, magnons, seed, index))
+    promoted = rows.promoted == ladder.PROMOTED
+    assert abs(mean_c - rows.avg_concurrence[promoted].mean()) <= 1e-14
+    assert np.isin(np.flatnonzero(promoted), isolated).all()
+    fraction = (entanglement.pair_concurrences(b, U[:, promoted]) > 0.0).mean(axis=0)
+    assert abs(positive - fraction.mean()) <= 1e-14
+
+
+def test_promoted_columns_off_the_last_block_exit_one(tmp_path, capsys, monkeypatch):
+    # labels reversed keep the promoted count but no longer mark the last columns
+    classify = ladder.classify
+
+    def reversed_labels(spec, raising):
+        cls = classify(spec, raising)
+        return dataclasses.replace(cls, labels=cls.labels[::-1].copy())
+
+    monkeypatch.setattr(ladder, "classify", reversed_labels)
+    argv = ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "-m", "2", "--samples", "2",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "promoted states are not the last 8 columns" in capsys.readouterr().err
+    assert not (tmp_path / "scaling_eigenstates.csv").exists()
+
+
 class _InlinePool:
     """Stand-in for ProcessPoolExecutor: records its size, runs jobs in-process."""
 

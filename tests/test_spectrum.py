@@ -41,7 +41,7 @@ def test_matches_jacobi_oracle_on_random_symmetric():
     cm = couplings.CouplingMatrix(4, J + J.T)
     sm = sector.assemble(cm, basis.build_basis(4, 2))
     spec = spectrum.diagonalize(sm)
-    assert np.abs(spec.eigenvalues - jacobi_eigenvalues(sm.matrix.toarray())).max() <= 1e-10
+    assert np.abs(spec.eigenvalues[spec.order] - jacobi_eigenvalues(sm.matrix.toarray())).max() <= 1e-10
 
 
 def test_rejects_symmetric_matrix_without_su2_symmetry():
@@ -73,7 +73,7 @@ def test_eigensolver_postconditions():
     _, sm = _sector(inf, 10, 3, 2)
     spec = spectrum.diagonalize(sm)
     H = sm.matrix.toarray()
-    assert np.all(np.diff(spec.eigenvalues) >= 0)
+    assert np.all(np.diff(spec.eigenvalues[spec.order]) >= 0)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(spec.dim)).max() <= 1e-10
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(H), rel=1e-9)
     assert (spec.eigenvalues**2).sum() == pytest.approx(np.linalg.norm(H) ** 2, rel=1e-9)
@@ -118,8 +118,8 @@ def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
     assert scaled
 
 
-def test_sorted_columns_are_eigenpairs_of_the_dense_matrix():
-    # dim 210 spans two row panels of the in-place sort; five spin blocks interleave in energy
+def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
+    # dim 210 spans two column panels of the residual check; five spin blocks interleave in energy
     _, sm = _sector(1.0, 10, 4, 8)
     spec = spectrum.diagonalize(sm)
     H = sm.matrix.toarray()
@@ -156,7 +156,13 @@ def test_columns_carry_their_spin_block():
     spec = spectrum.diagonalize(sm)
     Q, block_two_s = basis.total_spin_blocks(9, 4)
     assert spec.two_s.dtype.kind == "i"
-    assert np.array_equal(np.sort(spec.two_s), block_two_s)
+    # spin-block order: the blocks as built, eigh's ascending energies within each
+    assert np.array_equal(spec.two_s, block_two_s)
+    for k in np.unique(block_two_s):
+        assert np.all(np.diff(spec.eigenvalues[spec.two_s == k]) >= 0)
+    assert np.array_equal(spec.order, np.argsort(spec.eigenvalues, kind="stable"))
+    assert not np.array_equal(spec.order, np.arange(spec.dim))  # the blocks interleave in energy
+    assert spec.groups == spectrum.group_degeneracies(spec.eigenvalues[spec.order], spec.degtol)
     # column k lies entirely in the span of block two_s[k]
     inside = np.empty(spec.dim)
     for k in np.unique(block_two_s):
@@ -172,6 +178,7 @@ def test_degenerate_mask():
         eigenvalues=np.array([1.0, 1.0, 2.0]),
         vectors=np.eye(3),
         two_s=np.array([0, 0, 2]),
+        order=np.arange(3),
         degtol=1e-8,
         groups=[(0, 2), (2, 3)],
     )
@@ -181,9 +188,10 @@ def test_degenerate_mask():
 def test_nn_degeneracy_grouping_against_gap_scan():
     cm, sm = _sector(inf, 20, 1, 4)
     spec = spectrum.diagonalize(sm)
-    assert spec.groups == oracles.gap_scan_groups(spec.eigenvalues, spec.degtol)
+    ascending = spec.eigenvalues[spec.order]
+    assert spec.groups == oracles.gap_scan_groups(ascending, spec.degtol)
     # multiplicity of the group holding the all-one eigenvalue S_J
-    k = int(np.argmin(np.abs(spec.eigenvalues - cm.coupling_sum())))
+    k = int(np.argmin(np.abs(ascending - cm.coupling_sum())))
     (size,) = [b - a for a, b in spec.groups if a <= k < b]
     assert size >= 1
 
@@ -192,7 +200,7 @@ def test_containment_infinite_range():
     cm = couplings.sample_couplings(12, 0.0, 8)
     s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(12, 1)))
     s2 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(12, 2)))
-    assert spectrum.contains_spectrum(s2.eigenvalues, s1.eigenvalues, 1e-9)
+    assert spectrum.contains_spectrum(s2.eigenvalues[s2.order], s1.eigenvalues[s1.order], 1e-9)
 
 
 def test_containment_rejects_missing_and_multiplicity():
@@ -200,6 +208,16 @@ def test_containment_rejects_missing_and_multiplicity():
     assert spectrum.contains_spectrum(outer, np.array([1.0]), 1e-12)
     assert not spectrum.contains_spectrum(outer, np.array([1.5]), 1e-12)
     assert not spectrum.contains_spectrum(outer, np.array([1.0, 1.0]), 1e-12)
+
+
+@pytest.mark.parametrize("outer,inner", [
+    ([0.0, 2.0, 1.0], [1.0]),  # a block-ordered outer spectrum: 1.0 is there, yet the scan would miss it
+    ([0.0, 1.0, 2.0], [2.0, 1.0]),
+    ([0.0, np.nan, 2.0], [0.0]),
+])
+def test_containment_rejects_unsorted_input(outer, inner):
+    with pytest.raises(ValueError, match="ascending"):
+        spectrum.contains_spectrum(np.array(outer), np.array(inner), 1e-12)
 
 
 _PEAK_SCRIPT = """
