@@ -70,7 +70,8 @@ def pair_concurrences(basis: SectorBasis, coefficients: np.ndarray) -> np.ndarra
     if ud.shape[1] == 1:
         # m = 1 or L - 1: one antiparallel row per pair, and v (m = 1) or
         # y (m = L - 1) is exactly 0, so C = 2 |z| needs no indicators
-        np.multiply(a[ud[:, 0]], a[du[:, 0]], out=out)
+        out[...] = a[ud[:, 0]]
+        out *= a[du[:, 0]]
         np.abs(out, out=out)
         out *= 2.0
         return out[:, 0] if squeeze else out
@@ -97,16 +98,16 @@ def pair_concurrence_bytes(sites: int, magnons: int, n_states: int) -> int:
     With dim = C(L, m) rows, P = C(L, 2) pairs and c = min(n_states,
     128) columns per block: the swap-row tables, their index temporaries
     (P C(L-2, m-1) each) and the four dim x P boolean arrays they are built
-    from; the P x n_states output; at m = 1 and m = L - 1 the two gathered
-    antiparallel rows (P x n_states each), and otherwise the two float64
-    dim x P pair indicators and per block the column copy, its square, v, y
-    and z (the concurrence formula runs in place in v and z).
+    from; the P x n_states output; at m = 1 and m = L - 1 one gathered
+    antiparallel row set (P x n_states) at a time, and otherwise the two
+    float64 dim x P pair indicators and per block the column copy, its
+    square, v, y and z (the concurrence formula runs in place in v and z).
     """
     dim, pairs = comb(sites, magnons), comb(sites, 2)
     width = comb(sites - 2, magnons - 1) if 0 < magnons < sites else 0
     tables = 4 * dim * pairs + 24 * pairs * width
     if width == 1:
-        return tables + 24 * pairs * n_states
+        return tables + 16 * pairs * n_states
     chunk = min(n_states, PANEL)
     return tables + 16 * dim * pairs + 8 * (pairs * n_states + 2 * dim * chunk + 3 * pairs * chunk)
 

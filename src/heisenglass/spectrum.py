@@ -32,10 +32,12 @@ def solve_bytes(sites: int, magnons: int) -> int:
 
     * spin-block build: the arrays of both parent sectors (L-1, m) and
       (L-1, m-1);
-    * block solve: H Q_S next to scipy's contiguous copy of the strided
-      Q_S, or next to Q_S X_S before it is written back and X; H Q_S next
-      to eigh's A, its copy, a 2 d^2 workspace and X; then H Q_S, X and
-      two dim x p residual panels;
+    * block solve, one phase after the other: H Q_S next to scipy's
+      contiguous copy of one strided p-column panel of Q_S and its
+      product; H Q_S and A = Q_S^T (H Q_S); eigh's A, its copy, a 2 d^2
+      workspace and X, once H Q_S is released; X next to one p-row panel
+      of Q_S and its product Q_S X_S; then two dim x p residual panels
+      of H V_S (scipy's panel copy, then V_S w);
     * orthonormality check: one Gram panel of at most dim x p;
     * classification: a contiguous copy of p eigenvectors and its
       sigma^- image, p (dim + C(L, m-1));
@@ -50,9 +52,10 @@ def solve_bytes(sites: int, magnons: int) -> int:
     d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
     words = max(
         comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
-        2 * dim * d + d * d,
-        dim * d + 5 * d * d,
-        dim * d + d * d + 2 * PANEL * dim,
+        dim * d + 2 * PANEL * dim,
+        dim * d + d * d,
+        5 * d * d,
+        d * d + 2 * PANEL * d,
         PANEL * (dim + comb(sites, magnons - 1)),
     )
     concurrence = entanglement.pair_concurrence_bytes(sites, magnons, dim)
@@ -100,17 +103,10 @@ class Spectrum:
 
 
 def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int, int]]:
-    """Maximal runs of ascending eigenvalues with consecutive gaps <= degtol."""
+    """Maximal runs of ascending eigenvalues with consecutive gaps <= degtol (a NaN gap makes no cut)."""
     n = eigenvalues.size
-    groups: list[tuple[int, int]] = []
-    start = 0
-    for k in range(1, n):
-        if eigenvalues[k] - eigenvalues[k - 1] > degtol:
-            groups.append((start, k))
-            start = k
-    if n:
-        groups.append((start, n))
-    return groups
+    cuts = (np.flatnonzero(np.diff(eigenvalues) > degtol) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [n])) if n else []
 
 
 def diagonalize(sm: SectorMatrix) -> Spectrum:
@@ -172,21 +168,31 @@ def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.nda
     """Eigenvalues and residual norms |H V - V w| of one spin block, whose columns Q become V = Q X.
 
     ``Q`` is a column range of the solve's array, passed to BLAS as a
-    strided view.  H Q is a sparse-times-dense product (scipy copies the
-    view once for it), A = Q^T (H Q) goes to LAPACK, and Q X is formed
-    whole before it overwrites Q.  The residuals are taken from (H Q) X,
-    which by associativity is H V, ``PANEL`` columns at a time.
+    strided view.  H Q is formed ``PANEL`` columns at a time (scipy copies
+    only one strided panel at a time), A = Q^T (H Q) goes to LAPACK once
+    H Q is released, and Q X overwrites Q ``PANEL`` rows at a time.  The
+    residuals are then taken from H itself on the returned columns,
+    ``PANEL`` columns at a time.
     """
-    HQ = H @ Q
+    dim, width = Q.shape
+    HQ = np.empty((dim, width))
+    for lo in range(0, width, PANEL):
+        HQ[:, lo : lo + PANEL] = H @ Q[:, lo : lo + PANEL]
+    A = Q.T @ HQ
+    del HQ  # each del lowers the peak that solve_bytes budgets
     try:
-        w, X = np.linalg.eigh(Q.T @ HQ)
+        w, X = np.linalg.eigh(A)
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
-    Q[...] = Q @ X
-    residual = np.empty(w.size)
-    for lo in range(0, w.size, PANEL):
+    del A
+    for lo in range(0, dim, PANEL):
+        rows = slice(lo, lo + PANEL)
+        Q[rows] = Q[rows] @ X
+    del X
+    residual = np.empty(width)
+    for lo in range(0, width, PANEL):
         cols = slice(lo, lo + PANEL)
-        HV = HQ @ X[:, cols]
+        HV = H @ Q[:, cols]
         HV -= Q[:, cols] * w[cols]
         residual[cols] = np.linalg.norm(HV, axis=0)
     return w, residual

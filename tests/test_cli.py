@@ -261,8 +261,8 @@ def test_half_filled_l16_report_fits_two_workers_in_7_83_gib(tmp_path, monkeypat
 
 
 def test_pair_kernel_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
-    # at m = 1 the C(L, 2) x L output of the concurrence kernel and its two
-    # gathered antiparallel rows outweigh the solve: L=800 needs 6 GB of them
+    # at m = 1 the C(L, 2) x L output of the concurrence kernel and its
+    # gathered antiparallel rows outweigh the solve: L=800 needs 4.8 GiB of them
     def no_sampling(*args):
         raise AssertionError("validation must reject the run before any allocation")
 
@@ -294,19 +294,20 @@ def test_all_pairs_ensemble_too_large_exits_two(tmp_path, monkeypatch, capsys, s
 
 @pytest.mark.parametrize("files,limited", [
     ({"memory.max": "max\n"}, False),
-    ({"memory.max": "1073741824\n"}, True),
-    ({"memory.limit_in_bytes": "1073741824\n"}, True),
+    ({"memory.max": "{limit}\n"}, True),
+    ({"memory.limit_in_bytes": "{limit}\n"}, True),
     ({"memory.limit_in_bytes": "9223372036854771712\n"}, False),
     ({}, False),
 ])
 def test_sector_budget_honours_cgroup_limit(tmp_path, monkeypatch, capsys, files, limited):
+    # L=14, m=7: four workers fit in 8 GiB; a limit of three workers' budgets holds two, not four
+    per_worker = spectrum.solve_bytes(14, 7)
+    assert 4 * per_worker < 2**33
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text.format(limit=3 * per_worker))
     monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS",
                         (str(tmp_path / "memory.max"), str(tmp_path / "memory.limit_in_bytes")))
     monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)  # 8 GiB
-    # L=14, m=7 needs about 0.3 GiB per worker: two fit in 8 GiB, not in a 1 GiB limit
-    assert 2 * spectrum.solve_bytes(14, 7) < 2**30 < 4 * spectrum.solve_bytes(14, 7)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     argv = ["spectrum-report", "-L", "14", "-m", "7", "--samples", "4", "--workers", "4",
             "--out", str(tmp_path / "out")]

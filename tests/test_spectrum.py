@@ -118,6 +118,26 @@ def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
     assert scaled
 
 
+def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
+    # two columns of X exchanged, w left as eigh returned it: the columns stay
+    # orthonormal and the trace holds, so only the residual of H V can catch it
+    eigh = np.linalg.eigh
+    gaps = []
+
+    def swap_two_columns(a):
+        w, X = eigh(a)
+        if not gaps and X.shape[1] > 1:
+            X[:, [0, -1]] = X[:, [-1, 0]]
+            gaps.append(w[-1] - w[0])
+        return w, X
+
+    monkeypatch.setattr(np.linalg, "eigh", swap_two_columns)
+    _, sm = _sector(1.0, 10, 4, 3)
+    with pytest.raises(spectrum.SpectrumError, match="residual"):
+        spectrum.diagonalize(sm)
+    assert gaps and gaps[0] > 1e-3
+
+
 def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
     # dim 210 spans two column panels of the residual check; five spin blocks interleave in energy
     _, sm = _sector(1.0, 10, 4, 8)
@@ -268,16 +288,17 @@ def test_solve_peak_stays_within_budget(sites, magnons):
 @pytest.mark.parametrize("sites,magnons", [(150, 1)])
 def test_sample_peak_stays_within_budget(sites, magnons):
     # A whole eigenstate sample at m = 1, where the C(L, 2) x L output of the
-    # concurrence kernel and its two gathered rows outweigh the solve.
+    # concurrence kernel and its gathered antiparallel rows outweigh the solve.
     growth = _peak_growth(sites, magnons, "sample")
     assert 0 < growth < spectrum.solve_bytes(sites, magnons)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("args,limit", [
-    ((13, 6, "sample"), 2.5),  # one (dim, dim) array per solve: no merged copy, no dim x dim Gram
-    ((14, 7, "sample"), 2.5),
-    ((60, 2), 7.5),  # one block of nearly dim columns: no contiguous copy of it besides scipy's
+    ((13, 6, "sample"), 2.0),  # one (dim, dim) array per solve: no merged copy, no dim x dim Gram,
+    ((14, 7, "sample"), 1.8),  # and no dim x d array beside it while eigh runs
+    ((60, 2), 6.5),  # one block of nearly dim columns: eigh's own d x d arrays set the peak
+    ((150, 1, "sample"), 200.0),  # the C(L, 2) x L concurrences and one gathered row set of that size
 ])
 def test_peak_growth_in_dense_matrices(args, limit):
     # Peak resident set above the starting one, in units of one dim x dim float64 array.
