@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -429,21 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     if ns.command == "verify":
         return ExperimentConfig(command="verify")
-    cfg = ExperimentConfig(
-        command=ns.command,
-        model=ns.model,
-        sigma=ns.sigma,
-        sites=ns.sites,
-        magnons=ns.magnons,
-        samples=ns.samples,
-        seed=ns.seed,
-        pairs=ns.pairs,
-        out=ns.out,
-        target=getattr(ns, "target", None),
-        sigmas=getattr(ns, "sigmas", None),
-        zero_sum=getattr(ns, "zero_sum", False),
-        workers=ns.workers,
-    )
+    cfg = ExperimentConfig(**{f.name: getattr(ns, f.name, f.default) for f in fields(ExperimentConfig)})
     validate_config(cfg)
     return cfg
 
@@ -467,7 +453,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command in ("spectrum-report", "phase-diagram"):
         if len(cfg.sites) != 1:
             raise ConfigError(f"{cfg.command} takes exactly one -L value")
-        _check_sector(cfg.sites[0], cfg.magnons, _pool_size(cfg.workers, cfg.samples))
+        sites = cfg.sites[0]
+        _check_sector(sites, cfg.magnons, _pool_size(cfg.workers, cfg.samples), cfg.samples,
+                      math.comb(sites, cfg.magnons))
     if cfg.command == "phase-diagram":
         assert cfg.sigmas is not None  # argparse enforces --sigmas
         if any(not s >= 0 for s in cfg.sigmas):
@@ -478,7 +466,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command == "scaling":
         if cfg.target == "eigenstates":
             for sites in cfg.sites:
-                _check_sector(sites, cfg.magnons, _pool_size(cfg.workers, cfg.samples))
+                _check_sector(sites, cfg.magnons, _pool_size(cfg.workers, cfg.samples), cfg.samples, 0)
         else:
             if cfg.samples < 100:
                 raise ConfigError("random-ensemble scaling needs --samples >= 100")
@@ -543,17 +531,29 @@ def _check_memory(need: int, what: str) -> None:
         raise ConfigError(f"{what} needs {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of {source}")
 
 
-def _check_sector(sites: int, magnons: int, workers: int) -> None:
-    """Reject an empty sector, or one whose solves do not fit in memory.
+# Upper estimates of what the main process holds until a run's output is
+# written: per sample, its job tuple, its result and the pool's future; per
+# CSV row of at most 128 characters, six per-state array entries, the row's
+# list slot and str, and three more copies of its text (the joined body, the
+# written f-string and its encoded bytes).
+HELD_SAMPLE_BYTES = 2048
+HELD_ROW_BYTES = 640
+
+
+def _check_sector(sites: int, magnons: int, workers: int, samples: int, rows: int) -> None:
+    """Reject an empty sector, or a run whose solves and held results do not fit in memory.
 
     ``workers`` is the pool size that will run; each worker holds its own
-    solve and statistics, of at most ``spectrum.solve_bytes`` bytes.
+    solve and statistics, of at most ``spectrum.solve_bytes`` bytes.  The
+    main process keeps every one of the ``samples`` results, each with
+    ``rows`` CSV rows, until the output is written.
     """
     if not 1 <= magnons < sites:
         raise ConfigError(f"need 1 <= m < L, got m={magnons} L={sites}")
     _check_memory(
-        spectrum.solve_bytes(sites, magnons) * workers,
-        f"sector dimension C({sites},{magnons}) = {math.comb(sites, magnons)} with {workers} worker(s)",
+        spectrum.solve_bytes(sites, magnons) * workers + samples * (HELD_SAMPLE_BYTES + rows * HELD_ROW_BYTES),
+        f"{samples} sample(s) of sector dimension C({sites},{magnons}) = {math.comb(sites, magnons)}"
+        f" with {workers} worker(s)",
     )
 
 

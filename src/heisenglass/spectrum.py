@@ -32,12 +32,13 @@ def solve_bytes(sites: int, magnons: int) -> int:
 
     * spin-block build: the arrays of both parent sectors (L-1, m) and
       (L-1, m-1);
-    * block solve, one phase after the other: H Q_S next to scipy's
-      contiguous copy of one strided p-column panel of Q_S and its
-      product; H Q_S and A = Q_S^T (H Q_S); eigh's A, its copy, a 2 d^2
-      workspace and X, once H Q_S is released; X next to one p-row panel
-      of Q_S and its product Q_S X_S; then two dim x p residual panels
-      of H V_S (scipy's panel copy, then V_S w);
+    * block solve, one phase after the other: A = Q_S^T (H Q_S), formed
+      p columns at a time, next to scipy's contiguous copy of one strided
+      p-column panel of Q_S, its product with H and the d x p panel of A
+      it gives, d^2 + p (2 dim + d); eigh's A, its copy, a 2 d^2
+      workspace and X; X next to one p-row panel of Q_S and its product
+      Q_S X_S; then two dim x p residual panels of H V_S (scipy's panel
+      copy, then V_S w);
     * orthonormality check: one Gram panel of at most dim x p;
     * classification: a contiguous copy of p eigenvectors and its
       sigma^- image, p (dim + C(L, m-1));
@@ -52,10 +53,10 @@ def solve_bytes(sites: int, magnons: int) -> int:
     d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
     words = max(
         comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
-        dim * d + 2 * PANEL * dim,
-        dim * d + d * d,
+        d * d + PANEL * (2 * dim + d),
         5 * d * d,
         d * d + 2 * PANEL * d,
+        2 * PANEL * dim,
         PANEL * (dim + comb(sites, magnons - 1)),
     )
     concurrence = entanglement.pair_concurrence_bytes(sites, magnons, dim)
@@ -116,12 +117,13 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
     does.  One (dim, dim) array carries the whole solve: it starts as the
     spin blocks Q_S of :func:`basis.total_spin_blocks`, and :func:`_solve_block`
-    replaces each block by its eigenvectors V_S = Q_S X_S in place.  The
-    array is returned as ``vectors`` in that spin-block order, so the
-    residual check of each block covers the returned columns themselves;
-    energy order is the permutation ``order`` of the 1-D outputs alone.
-    No dense copy of H, no merged copy of the eigenvectors and no
-    dim x dim Gram matrix is made.
+    reduces each block to the d x d matrix Q_S^T H Q_S one column panel
+    at a time and replaces the block by its eigenvectors V_S = Q_S X_S in
+    place.  The array is returned as ``vectors`` in that spin-block
+    order, so the residual check of each block covers the returned
+    columns themselves; energy order is the permutation ``order`` of the
+    1-D outputs alone.  No dense copy of H, no dim x d product H Q_S, no
+    merged copy of the eigenvectors and no dim x dim Gram matrix is made.
 
     Raises SpectrumError for a non-finite stored entry, an eigenpair
     residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
@@ -168,23 +170,23 @@ def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.nda
     """Eigenvalues and residual norms |H V - V w| of one spin block, whose columns Q become V = Q X.
 
     ``Q`` is a column range of the solve's array, passed to BLAS as a
-    strided view.  H Q is formed ``PANEL`` columns at a time (scipy copies
-    only one strided panel at a time), A = Q^T (H Q) goes to LAPACK once
-    H Q is released, and Q X overwrites Q ``PANEL`` rows at a time.  The
-    residuals are then taken from H itself on the returned columns,
-    ``PANEL`` columns at a time.
+    strided view.  The d x d matrix A = Q^T H Q is formed ``PANEL``
+    columns at a time, A[:, panel] = Q^T (H Q[:, panel]), so no product
+    wider than one panel is alive (scipy copies one strided panel of Q at
+    a time).  LAPACK diagonalizes A, and Q X overwrites Q ``PANEL`` rows
+    at a time.  The residuals are then taken from H itself on the
+    returned columns, ``PANEL`` columns at a time.
     """
     dim, width = Q.shape
-    HQ = np.empty((dim, width))
+    A = np.empty((width, width))
     for lo in range(0, width, PANEL):
-        HQ[:, lo : lo + PANEL] = H @ Q[:, lo : lo + PANEL]
-    A = Q.T @ HQ
-    del HQ  # each del lowers the peak that solve_bytes budgets
+        cols = slice(lo, lo + PANEL)
+        A[:, cols] = Q.T @ (H @ Q[:, cols])
     try:
         w, X = np.linalg.eigh(A)
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
-    del A
+    del A  # each del lowers the peak that solve_bytes budgets
     for lo in range(0, dim, PANEL):
         rows = slice(lo, lo + PANEL)
         Q[rows] = Q[rows] @ X

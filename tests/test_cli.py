@@ -23,15 +23,18 @@ def _read_output(path: Path) -> tuple[dict, list[str]]:
     return json.loads(head[2:]), lines
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # every CLI process pays for what importing the package loads
+def _python(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                          timeout=300, **kwargs)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every CLI process pays for what importing the package loads
     script = ("import sys, heisenglass.cli; "
               "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.special'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _python(script, check=True).stdout.strip() == "[]"
 
 
 def test_every_package_export_resolves():
@@ -272,6 +275,61 @@ def test_pair_kernel_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys)
     assert cli.main(["spectrum-report", "-L", "800", "-m", "1", "--out", str(tmp_path / "out")]) == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a run that allocated before validation would hit the address-space limit
+# and fail with MemoryError, not exit 2
+_LIMITED_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from heisenglass import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum-report", "-L", "8", "-m", "2"],
+    ["phase-diagram", "-L", "8", "-m", "2", "--sigmas", "0"],
+    ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "-m", "2"],
+])
+def test_results_beyond_memory_exit_two_before_allocating(tmp_path, argv):
+    # every sample's result is held until the output is written: 10^12 of them cannot be
+    out = _python(_LIMITED_SCRIPT, *argv, "--samples", str(10**12), "--out", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stderr
+    assert "1000000000000 sample(s)" in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+_HELD_SCRIPT = """
+import sys, tempfile
+from heisenglass import cli
+
+def status_kib(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+with tempfile.TemporaryDirectory() as out:
+    cli.main(["spectrum-report", "-L", "6", "-m", "3", "--out", out])  # first calls into BLAS, LAPACK and scipy
+    before = status_kib("VmRSS")
+    assert cli.main(sys.argv[1:] + ["--out", out]) == 0
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
+@pytest.mark.parametrize("sites,magnons,workers,counts", [
+    (10, 5, 1, (20, 120)),  # 252 rows a sample: the rows dominate
+    (2, 1, 2, (200, 2200)),  # 2 rows a sample, and a pool future each: the samples dominate
+])
+def test_held_results_stay_within_their_budget(sites, magnons, workers, counts):
+    # peak resident set of the main process at two sample counts: both the
+    # growth per sample and the whole run stay below what validation counts
+    argv = ["spectrum-report", "-L", str(sites), "-m", str(magnons), "--workers", str(workers)]
+    per_sample = cli.HELD_SAMPLE_BYTES + math.comb(sites, magnons) * cli.HELD_ROW_BYTES
+    growth = [1024 * int(_python(_HELD_SCRIPT, *argv, "--samples", str(n), check=True).stdout)
+              for n in counts]
+    assert 0 < growth[1] - growth[0] < (counts[1] - counts[0]) * per_sample
+    assert growth[1] < workers * spectrum.solve_bytes(sites, magnons) + counts[1] * per_sample
 
 
 @pytest.mark.parametrize("sites,reason", [

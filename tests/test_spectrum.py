@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb, inf
 from pathlib import Path
 
@@ -147,6 +148,23 @@ def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
     residual = np.linalg.norm(H @ spec.vectors - spec.vectors * spec.eigenvalues, axis=0)
     assert residual.max() <= 1e-10 * np.linalg.norm(H)
     assert spec.vectors.flags.c_contiguous
+
+
+def test_block_solve_allocates_less_than_one_dim_by_d_array():
+    # the widest spin block of IR L=13, m=6 (d = 572 of dim 1716): A = Q^T H Q is
+    # formed one column panel at a time, so no dim x d product H Q is ever alive
+    _, sm = _sector(0.0, 13, 6, 0)
+    vectors, two_s = basis.total_spin_blocks(13, 6)
+    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
+    lo, hi = max(zip(starts, starts[1:] + [sm.dim]), key=lambda block: block[1] - block[0])
+    assert hi - lo == 572
+    tracemalloc.start()
+    try:
+        spectrum._solve_block(sm.matrix, vectors[:, lo:hi], int(two_s[lo]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sm.dim * (hi - lo)
 
 
 def test_nonfinite_input_raises():
@@ -296,7 +314,7 @@ def test_sample_peak_stays_within_budget(sites, magnons):
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("args,limit", [
     ((13, 6, "sample"), 2.0),  # one (dim, dim) array per solve: no merged copy, no dim x dim Gram,
-    ((14, 7, "sample"), 1.8),  # and no dim x d array beside it while eigh runs
+    ((14, 7, "sample"), 1.8),  # and no dim x d array beside it at any point of a block solve
     ((60, 2), 6.5),  # one block of nearly dim columns: eigh's own d x d arrays set the peak
     ((150, 1, "sample"), 200.0),  # the C(L, 2) x L concurrences and one gathered row set of that size
 ])
