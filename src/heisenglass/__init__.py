@@ -5,7 +5,14 @@ couplings (power-law decay on a ring, from infinite range at exponent 0
 to the nearest-neighbour ring at infinity), plus the magnon-promotion
 ladder, pairwise concurrence analysis, random-state ensembles, and
 finite-size scaling fits.
+
+Importing the package sets numpy's BLAS to ``blas.THREADS`` threads before
+any of its numerical work (see :mod:`heisenglass.blas`).
 """
+
+from .blas import pin_threads
+
+BLAS_THREADS = pin_threads()  # None where numpy's BLAS exports no OpenBLAS setter
 
 from .basis import SectorBasis, build_basis, rank, unrank
 from .couplings import CouplingMatrix, sample_couplings

@@ -6,8 +6,11 @@ exponents), ``scaling`` (mean concurrence and positive-concurrence
 probability versus L, with fits), and ``verify`` (the invariant suite).
 Outputs are CSV with a single ``# {json}`` config-echo header line, or
 JSON for fit results.  Reruns with the same master seed are
-byte-identical regardless of worker count: every disorder sample is
-seeded by (master, index) alone and rows are written in sample order.
+byte-identical regardless of worker count, ``OPENBLAS_NUM_THREADS`` and
+the host's cores: every disorder sample is seeded by (master, index)
+alone, rows are written in sample order, and importing the package fixes
+numpy's OpenBLAS at one thread in every process (:mod:`heisenglass.blas`).
+For throughput, run samples in parallel with ``--workers``.
 
 Exit codes: 0 ok, 1 invariant or runtime failure, 2 bad configuration.
 """

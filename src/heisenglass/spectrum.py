@@ -171,19 +171,22 @@ def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.nda
 
     ``Q`` is a column range of the solve's array, passed to BLAS as a
     strided view.  The d x d matrix A = Q^T H Q is formed ``PANEL``
-    columns at a time, A[:, panel] = Q^T (H Q[:, panel]), so no product
-    wider than one panel is alive (scipy copies one strided panel of Q at
-    a time).  LAPACK diagonalizes A, and Q X overwrites Q ``PANEL`` rows
-    at a time.  The residuals are then taken from H itself on the
-    returned columns, ``PANEL`` columns at a time.
+    columns at a time, and only from each panel's diagonal down,
+    A[lo:, panel] = Q[:, lo:]^T (H Q[:, panel]), since LAPACK reads the
+    lower triangle alone.  (OpenBLAS may send a thin last panel to its
+    small-matrix kernel, so A can differ from the full product in the
+    last bits.)  No product wider than one panel is alive (scipy copies
+    one strided panel of Q at a time).  Q X overwrites Q ``PANEL`` rows at a
+    time.  The residuals are then taken from H itself on the returned
+    columns, ``PANEL`` columns at a time.
     """
     dim, width = Q.shape
-    A = np.empty((width, width))
+    A = np.empty((width, width))  # above the diagonal panels, A stays unset
     for lo in range(0, width, PANEL):
         cols = slice(lo, lo + PANEL)
-        A[:, cols] = Q.T @ (H @ Q[:, cols])
+        A[lo:, cols] = Q[:, lo:].T @ (H @ Q[:, cols])
     try:
-        w, X = np.linalg.eigh(A)
+        w, X = np.linalg.eigh(A, UPLO="L")
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
     del A  # each del lowers the peak that solve_bytes budgets

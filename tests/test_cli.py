@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from heisenglass import basis, cli, couplings, ensembles, entanglement, ladder, sector, spectrum, verify
+from heisenglass import basis, blas, cli, couplings, ensembles, entanglement, ladder, sector, spectrum, verify
 from heisenglass.cli import ConfigError, ExperimentConfig
 
 
@@ -23,9 +23,9 @@ def _read_output(path: Path) -> tuple[dict, list[str]]:
     return json.loads(head[2:]), lines
 
 
-def _python(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+def _python(script: str, *args: str, environ=os.environ, **kwargs) -> subprocess.CompletedProcess:
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
                           timeout=300, **kwargs)
 
@@ -330,6 +330,115 @@ def test_held_results_stay_within_their_budget(sites, magnons, workers, counts):
               for n in counts]
     assert 0 < growth[1] - growth[0] < (counts[1] - counts[0]) * per_sample
     assert growth[1] < workers * spectrum.solve_bytes(sites, magnons) + counts[1] * per_sample
+
+
+# the variables OpenBLAS reads its thread count from at load, in this order
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_environ(threads: str | None) -> dict:
+    """The test's environment without any BLAS thread variable, plus OPENBLAS_NUM_THREADS=threads if given."""
+    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    return environ if threads is None else {**environ, "OPENBLAS_NUM_THREADS": threads}
+
+
+def _has_live_blas_threads() -> bool:
+    """Does numpy's BLAS export the numpy 2.x OpenBLAS thread-count getter the scripts below read?"""
+    return hasattr(blas._numpy_library(), "scipy_openblas_get_num_threads64_")
+
+
+# prints the live BLAS thread count before each sample, in the process that solves
+# it (a forked worker inherits the patched job), and in the main process at the end
+_COUNTED_SCRIPT = """
+import ctypes, sys
+from numpy._core import _multiarray_umath
+from heisenglass import cli
+
+live = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+job = cli._eigen_job
+
+def counted(args):
+    print("threads", live(), flush=True)
+    return job(args)
+
+cli._eigen_job = counted
+rc = cli.main(sys.argv[1:])
+print("threads", live())
+sys.exit(rc)
+"""
+
+_SPAWNED_SCRIPT = """
+import multiprocessing, sys
+from heisenglass import cli
+
+multiprocessing.set_start_method("spawn")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not _has_live_blas_threads(), reason="reads the thread count of numpy's OpenBLAS")
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the package sets its own BLAS thread count, so neither the environment, the
+    # host's cores nor worker processes (forked or spawned) change a byte
+    argv = ["spectrum-report", "--model", "ir", "-L", "11", "-m", "5", "--samples", "2"]
+    runs = {
+        "one": (_COUNTED_SCRIPT, "1", []),
+        "two": (_COUNTED_SCRIPT, "2", []),
+        "unset": (_COUNTED_SCRIPT, None, []),
+        "forked": (_COUNTED_SCRIPT, None, ["--workers", "2"]),
+        "spawned": (_SPAWNED_SCRIPT, "2", ["--workers", "2"]),
+    }
+    outputs = {}
+    for name, (script, threads, extra) in runs.items():
+        out = tmp_path / name
+        run = _python(script, *argv, *extra, "--out", str(out), environ=_blas_environ(threads))
+        assert run.returncode == 0, run.stderr
+        if script is _COUNTED_SCRIPT:
+            assert run.stdout.split("\n")[:-1] == ["threads 1"] * 3, name  # two samples, then the main process
+        outputs[name] = (out / "spectrum_report.csv").read_bytes()
+    assert all(data == outputs["one"] for data in outputs.values())
+
+
+_IMPORT_SCRIPT = """
+import ctypes, importlib, sys
+from numpy._core import _multiarray_umath
+
+live = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+before = live()
+importlib.import_module(sys.argv[1])
+print(before, live())
+"""
+
+
+@pytest.mark.skipif(not _has_live_blas_threads(), reason="reads the thread count of numpy's OpenBLAS")
+@pytest.mark.parametrize("module", ["heisenglass.cli", "heisenglass.spectrum"])
+def test_package_import_pins_blas_threads_after_numpy(module):
+    # library callers (the acceptance suite calls diagonalize, eigenstate_sample and
+    # _eigenstate_estimates directly) load numpy first, at the environment's count
+    run = _python(_IMPORT_SCRIPT, module, environ=_blas_environ("2"), check=True)
+    assert run.stdout.split() == ["2", str(blas.THREADS)]
+
+
+# no BLAS symbol resolves, as in a numpy built on MKL or Accelerate
+_NO_SETTER_SCRIPT = """
+import ctypes, sys
+
+def unresolved(self, name):
+    raise AttributeError(name)
+
+ctypes.CDLL.__getattr__ = unresolved
+import heisenglass
+from heisenglass import blas, cli
+
+assert heisenglass.BLAS_THREADS is None and blas.pin_threads() is None
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_without_a_blas_thread_setter_still_succeeds(tmp_path):
+    run = _python(_NO_SETTER_SCRIPT, "spectrum-report", "-L", "8", "-m", "3", "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "spectrum_report.csv").exists()
 
 
 @pytest.mark.parametrize("sites,reason", [

@@ -105,8 +105,8 @@ def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
     eigh = np.linalg.eigh
     scaled = []
 
-    def scale_one_column(a):
-        w, X = eigh(a)
+    def scale_one_column(a, UPLO="L"):
+        w, X = eigh(a, UPLO=UPLO)
         if not scaled and X.shape[1] > 1:
             X[:, 1] *= 1.0 + 1e-7
             scaled.append(X.shape[1])
@@ -125,8 +125,8 @@ def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
     eigh = np.linalg.eigh
     gaps = []
 
-    def swap_two_columns(a):
-        w, X = eigh(a)
+    def swap_two_columns(a, UPLO="L"):
+        w, X = eigh(a, UPLO=UPLO)
         if not gaps and X.shape[1] > 1:
             X[:, [0, -1]] = X[:, [-1, 0]]
             gaps.append(w[-1] - w[0])
@@ -165,6 +165,31 @@ def test_block_solve_allocates_less_than_one_dim_by_d_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * sm.dim * (hi - lo)
+
+
+def test_lower_triangle_formation_matches_the_full_product():
+    # _solve_block forms A = Q^T H Q from each panel's diagonal down and eigh reads the lower
+    # triangle alone.  Its eigenpairs are those of the full product, to rounding: OpenBLAS
+    # sends a thin product (M N K <= 10^6) to its small-matrix kernel, which sums in another
+    # order, so the short last panel of a block (26 of 154 rows here) can differ in the last bits.
+    _, sm = _sector(0.0, 12, 6, 7)
+    H = sm.matrix
+    scale = np.linalg.norm(H.data)
+    vectors, two_s = basis.total_spin_blocks(12, 6)
+    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [sm.dim]):
+        Q = vectors[:, lo:hi]
+        full = np.empty((hi - lo, hi - lo))
+        for p in range(0, hi - lo, spectrum.PANEL):
+            full[:, p:p + spectrum.PANEL] = Q.T @ (H @ Q[:, p:p + spectrum.PANEL])
+        w_full, X_full = np.linalg.eigh(full)
+        V_full = Q @ X_full
+        w, _ = spectrum._solve_block(H, Q, int(two_s[lo]))
+        assert np.abs(w - w_full).max() <= 1e-13 * scale
+        overlap = np.abs(np.sum(Q * V_full, axis=0))  # |<v, v_full>| per eigenpair, up to sign
+        simple = np.diff(w_full, prepend=-np.inf, append=np.inf)
+        simple = np.minimum(simple[:-1], simple[1:]) > 1e-6 * scale
+        assert np.abs(overlap[simple] - 1.0).max() <= 1e-9
 
 
 def test_nonfinite_input_raises():
