@@ -6,8 +6,8 @@ ascending order when pattern p is read as the integer sum_{i in p} 2^i;
 it coincides with the combinatorial number system, so ranking and
 unranking are O(L) and need no search.  A sector is stored once, as the
 read-only (dim, L) boolean matrix of which sites are up in each pattern.
-:func:`total_spin_blocks` splits a sector into orthonormal blocks of
-fixed total spin, held side by side in one (dim, dim) array.
+:func:`spin_block` builds the orthonormal block of one total spin
+alone, and :func:`promotion_map` the sigma^+ between adjacent sectors.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import comb, sqrt
 
 import numpy as np
+from scipy import sparse
 
 # Largest sector build_basis enumerates, a bound on its (dim, L) occupancy
 # matrix.  Memory for the arrays built from a sector is checked by the CLI.
@@ -97,55 +98,86 @@ def build_basis(sites: int, magnons: int) -> SectorBasis:
     return SectorBasis(sites, magnons, occupancy)
 
 
-def total_spin_blocks(sites: int, magnons: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal total-spin blocks of the m-magnon sector, side by side in one array.
+def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
+    """Orthonormal block of total spin S = ``two_s``/2 in the m-magnon sector, built alone.
 
-    Returns ``(Q, two_s)``: Q is a C-ordered float64 (dim, dim) array with
-    one row per basis state (ascending patterns) and one column per
-    spin-S multiplet, and ``two_s[c]`` is the 2S of column c.  Columns of
-    one spin are contiguous and 2S ascends from 2|M| to L, with
-    M = m - L/2; Q is orthogonal.  The caller owns Q and may overwrite
-    it: :func:`spectrum.diagonalize` solves each block in its column
-    range and leaves the eigenvectors there.
+    Returns a C-ordered float64 (dim, d) array with one row per basis
+    state (ascending patterns) and one column per spin-S multiplet,
+    d = :func:`multiplets` (L, 2S).  Valid spins run from 2|M| to L in
+    steps of 2, with M = m - L/2; the blocks of all of them together
+    form an orthogonal matrix.  The caller owns the array and may
+    overwrite it: :func:`spectrum.diagonalize` replaces it by the block's
+    eigenvectors.
 
     Sites are coupled one at a time with Clebsch-Gordan coefficients
     (Condon-Shortley phases).  On l sites the patterns with bit l-1
     clear list first and are sector (l-1, m) in order; those with the
-    bit set follow as sector (l-1, m-1).  So the spin-S block stacks the
-    parents' S - 1/2 and S + 1/2 blocks scaled by scalar factors: O(dim^2)
-    writes, no QR and no eigensolve.  Each level is written straight into
-    its sector's array, so the last one holds Q next to its two parent
-    sectors only.  Every column is an exact eigenvector of the total spin,
-    and the same column index labels the same multiplet in every sector
-    of the same L.
+    bit set follow as sector (l-1, m-1).  So the spin-S' block stacks the
+    parents' S' - 1/2 and S' + 1/2 blocks scaled by scalar factors: no QR
+    and no eigensolve.  The build is a narrow cone: with L - l sites still
+    to couple, a block of spin 2S' can still reach 2S only if
+    |2S' - 2S| <= L - l, so each level keeps those blocks alone.  Each
+    level is written straight into its sector's array, and two levels are
+    alive at once (:func:`spin_block_words` counts them).  Every column is
+    an exact eigenvector of the total spin, and the same column index
+    labels the same multiplet in every sector of the same L.
     """
     if sites < 1:
         raise ValueError(f"need at least one site, got {sites}")
     if not 0 <= magnons <= sites:
         raise ValueError(f"magnon number {magnons} outside 0..{sites}")
+    if two_s not in block_spins(sites, magnons):
+        raise ValueError(f"no spin block 2S={two_s} in sector ({sites}, {magnons})")
     # sectors (l, k) that feed (sites, magnons), each its array and its blocks
     # keyed by 2S (column ranges of the array); (0, 0) is a spin-0 singleton
     one = np.ones((1, 1))
     level = {0: (one, {0: one})}
     for l in range(1, sites + 1):
         level = {
-            k: _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k)
+            k: _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k,
+                            _cone_spins(sites, two_s, l, k))
             for k in range(max(0, magnons - sites + l), min(l, magnons) + 1)
         }
-    q, blocks = level[magnons]
-    return q, np.repeat(list(blocks), [b.shape[1] for b in blocks.values()])
+    return level[magnons][0]
+
+
+def block_spins(sites: int, magnons: int) -> range:
+    """The 2S of every total-spin block of the m-magnon sector, ascending: 2|M| .. L."""
+    return range(abs(2 * magnons - sites), sites + 1, 2)
+
+
+def multiplets(sites: int, two_s: int) -> int:
+    """Number of spin-S multiplets of L spins 1/2, the width of a spin-S block in any sector that has one."""
+    n = (sites - two_s) // 2
+    return comb(sites, n) - (comb(sites, n - 1) if n else 0)
+
+
+def spin_block_words(sites: int, magnons: int, two_s: int) -> int:
+    """Most float64 words alive at once in :func:`spin_block`: the cone's widest two consecutive levels."""
+    sizes = [
+        sum(comb(l, k) * sum(multiplets(l, s2) for s2 in _cone_spins(sites, two_s, l, k))
+            for k in range(max(0, magnons - sites + l), min(l, magnons) + 1))
+        for l in range(sites + 1)
+    ]
+    return max(a + b for a, b in zip(sizes, sizes[1:]))
+
+
+def _cone_spins(sites: int, two_s: int, l: int, k: int) -> range:
+    """The 2S' of the blocks of sector (l, k) that can still couple to 2S on L sites: |2S' - 2S| <= L - l."""
+    reach = sites - l
+    return range(max(abs(2 * k - l), two_s - reach), min(l, two_s + reach) + 1, 2)
 
 
 def _couple_site(
-    down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int
+    down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int, spins: range
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Sector (l, k) from the blocks of (l-1, k) (site l-1 down) and (l-1, k-1) (up)."""
+    """The ``spins`` (2S) blocks of sector (l, k), from those of (l-1, k) (site l-1 down) and (l-1, k-1) (up)."""
     n_down, n_up = comb(l - 1, k), comb(l - 1, k - 1) if k else 0
     m2 = 2 * k - l  # 2M
-    q = np.empty((n_down + n_up, n_down + n_up))
+    q = np.empty((n_down + n_up, sum(multiplets(l, s2) for s2 in spins)))
     blocks = {}
     col = 0
-    for s2 in range(abs(m2), l + 1, 2):
+    for s2 in spins:
         start = col
         for p2 in (s2 - 1, s2 + 1):  # parent spin 2S' = 2S -+ 1
             qd, qu = down.get(p2), up.get(p2)
@@ -169,6 +201,32 @@ def _couple_site(
             col = cols.stop
         blocks[s2] = q[:, start:col]
     return q, blocks
+
+
+def ladder_integer(sites: int, magnons: int, two_s):
+    """The value S(S+1) - M^2 + M of sigma^+ sigma^- = S^2 - S_z^2 + S_z on spin block 2S, M = m - L/2.
+
+    0 on the lowest block of a sector with 2m <= L, whose states sigma^-
+    annihilates, and at least L - 2m + 2 on every other.  Elementwise on
+    an integer array of 2S values.
+    """
+    m2 = 2 * magnons - sites  # 2M
+    return (two_s * (two_s + 2) - m2 * m2 + 2 * m2) // 4
+
+
+def promotion_map(target: SectorBasis) -> sparse.csr_array:
+    """Unnormalized sigma^+ from sector (L, m-1) into ``target`` = (L, m).
+
+    The 0/1 CSR matrix R (C(L, m) x C(L, m-1)) whose row t has a one at
+    each pattern that the t-th target pattern becomes with one up spin
+    cleared, lowest site first.  sigma^+ is R, its adjoint sigma^- is R^T;
+    at m = 0 R has no column.
+    """
+    # every target pattern has m set bits, so row t holds entries m*t .. m*t + m-1
+    columns = cleared_ranks(target).ravel()
+    indptr = np.arange(target.dim + 1) * target.magnons
+    shape = (target.dim, comb(target.sites, target.magnons - 1) if target.magnons else 0)
+    return sparse.csr_array((np.ones(columns.size), columns, indptr), shape=shape)
 
 
 def rank(sites: int, magnons: int, pattern: int) -> int:

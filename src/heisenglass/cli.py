@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -115,41 +116,46 @@ class InvariantError(RuntimeError):
 
 
 def _classified_sample(
+    upper: basis.SectorBasis,
     sigma: float,
-    sites: int,
-    magnons: int,
     master_seed: int,
     index: int,
-) -> tuple[couplings.CouplingMatrix, basis.SectorBasis, spectrum.Spectrum, ladder.Classification]:
-    """Sample, diagonalize and classify one disorder realization.
+    measure: Callable[[int, np.ndarray], None],
+) -> tuple[couplings.CouplingMatrix, spectrum.Spectrum, ladder.Classification]:
+    """Sample, diagonalize and classify one disorder realization of the sector ``upper``.
 
-    Raises InvariantError unless the uniform state is an eigenstate at
-    S_J to within the eigenpair tolerance and the promoted count is the
-    one :func:`ladder.expected_counts` gives.
+    ``measure(two_s, vectors)`` receives each spin block's eigenvectors
+    (:func:`spectrum.diagonalize`).  Raises InvariantError unless the
+    uniform state is an eigenstate at S_J to within the eigenpair
+    tolerance and the promoted count is the one
+    :func:`ladder.expected_counts` gives.
     """
+    sites, magnons = upper.sites, upper.magnons
     cm = couplings.sample_couplings(sites, sigma, couplings.sample_seed(master_seed, index))
-    upper = basis.build_basis(sites, magnons)
     sm = sector.assemble(cm, upper)
     residual = sector.all_up_residual(sm)
     if not residual <= spectrum.RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(sm.matrix.data))):
         raise InvariantError(f"sample {index} (L={sites}, m={magnons}): uniform state residual {residual:.3e} at S_J")
-    spec = spectrum.diagonalize(sm)
-    cls = ladder.classify(spec, ladder.promotion_map(upper))
+    raising = ladder.promotion_map(upper)
+    spec = spectrum.diagonalize(sm, raising, measure)
+    cls = ladder.classify(spec, raising)
     expected, _ = ladder.expected_counts(sites, magnons)
     if cls.n_promoted != expected:
         raise InvariantError(
             f"sample {index} (L={sites}, m={magnons}): {cls.n_promoted} promoted states, expected {expected}"
         )
-    return cm, upper, spec, cls
+    return cm, spec, cls
 
 
 class StateArrays(NamedTuple):
     """Per-eigenstate columns of one disorder realization, ascending in energy.
 
-    Each statistic is computed on the spin-block-ordered eigenvectors of
-    :func:`spectrum.diagonalize` and put into energy order by the one
-    permutation ``Spectrum.order``.  ``promoted`` holds the ladder labels
-    and ``degenerate`` is 1 for states in a degeneracy group, 0 otherwise.
+    Each statistic is computed on the eigenvectors as
+    :func:`spectrum.diagonalize` hands them over in spin-block order, in
+    the column panels of that order (:class:`_Panels`), and put into
+    energy order by the one permutation ``Spectrum.order``.
+    ``promoted`` holds the ladder labels and ``degenerate`` is 1 for
+    states in a degeneracy group, 0 otherwise.
     """
 
     eigenvalue: np.ndarray
@@ -160,6 +166,46 @@ class StateArrays(NamedTuple):
     degenerate: np.ndarray
 
 
+class _Panels:
+    """Hands eigenvectors to ``measure(vectors)`` in whole ``PANEL``-column panels of their arrival order.
+
+    Blocks of eigenvectors arrive one at a time, and each call of the pair
+    kernel walks every pair once per panel, whatever the panel's width.
+    So the columns are handed over as if the blocks stood side by side
+    and were cut into panels of ``PANEL``: a block's whole panels as one
+    view, the columns before them with the held ones as one filled panel,
+    and the columns after them held until the next block fills their
+    panel.  :meth:`flush` hands over the last, partial panel.  Fewer than
+    ``PANEL`` columns are held, as copies or whole thin blocks, and one
+    more panel is copied to hand them over.
+    """
+
+    def __init__(self, measure: Callable[[np.ndarray], None]):
+        self.measure = measure
+        self.held: list[np.ndarray] = []
+        self.width = 0
+
+    def add(self, vectors: np.ndarray) -> None:
+        n = vectors.shape[1]
+        head = min(n, -self.width % entanglement.PANEL)  # columns that go with the held ones
+        if head:
+            self.held.append(vectors[:, :head])
+            self.width += head
+            if self.width == entanglement.PANEL:
+                self.flush()
+        body = head + (n - head) // entanglement.PANEL * entanglement.PANEL
+        if body > head:
+            self.measure(vectors[:, head:body])
+        if body < n:  # a copy: no view keeps the block alive
+            self.held.append(vectors[:, body:].copy())
+            self.width += n - body
+
+    def flush(self) -> None:
+        if self.held:
+            self.measure(np.hstack(self.held))
+            self.held, self.width = [], 0
+
+
 def eigenstate_sample(
     sigma: float,
     sites: int,
@@ -168,14 +214,23 @@ def eigenstate_sample(
     index: int,
 ) -> StateArrays:
     """Full per-eigenstate report for one disorder realization."""
-    cm, upper, spec, cls = _classified_sample(sigma, sites, magnons, master_seed, index)
+    upper = basis.build_basis(sites, magnons)
+    concurrence, participation = [], []
+
+    def measure(vectors: np.ndarray) -> None:
+        concurrence.append(entanglement.pair_concurrences(upper, vectors).mean(axis=0))
+        participation.append(entanglement.participation_ratio(vectors))
+
+    panels = _Panels(measure)
+    cm, spec, cls = _classified_sample(upper, sigma, master_seed, index, lambda two_s, vectors: panels.add(vectors))
+    panels.flush()
     order = spec.order
     eigenvalue = spec.eigenvalues[order]
     return StateArrays(
         eigenvalue=eigenvalue,
         e_minus_sj=eigenvalue - cm.coupling_sum(),
-        avg_concurrence=entanglement.pair_concurrences(upper, spec.vectors).mean(axis=0)[order],
-        participation=entanglement.participation_ratio(spec.vectors)[order],
+        avg_concurrence=np.concatenate(concurrence)[order],
+        participation=np.concatenate(participation)[order],
         promoted=cls.labels[order],
         degenerate=spec.degenerate_mask().astype(np.int64),
     )
@@ -199,21 +254,37 @@ def _eigen_job(args: tuple) -> StateArrays:
 def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     """Per-sample (mean avg-concurrence, mean positive-pair fraction) of promoted states.
 
-    The spin blocks ascend in 2S and only the lowest one, 2S = L - 2m
-    when 2m <= L, holds new states, so the promoted states are the last
-    ``n_promoted`` columns of ``spec.vectors``: a view, not a copy.
-    Raises InvariantError unless the labels agree.  The per-state values
-    are averaged in energy order.
+    ``args`` is (sigma, sites, magnons, seed, index).  The spin blocks
+    ascend in 2S and only the lowest one, 2S = L - 2m when 2m <= L, holds
+    new states, so its pair concurrences are never taken, and the
+    promoted states are the last ``n_promoted`` columns in spin-block
+    order.  Raises InvariantError unless the labels agree.  The per-state
+    values are averaged in energy order.
     """
-    _, upper, spec, cls = _classified_sample(*args)
+    sigma, sites, magnons, seed, index = args
+    upper = basis.build_basis(sites, magnons)
+    mean, positive = [], []
+
+    def measure(vectors: np.ndarray) -> None:
+        pc = entanglement.pair_concurrences(upper, vectors)
+        mean.append(pc.mean(axis=0))
+        positive.append((pc > 0.0).mean(axis=0))
+
+    panels = _Panels(measure)
+
+    def promoted(two_s: int, vectors: np.ndarray) -> None:
+        if two_s > sites - 2 * magnons:
+            panels.add(vectors)
+
+    _, spec, cls = _classified_sample(upper, sigma, seed, index, promoted)
+    panels.flush()
     first = spec.dim - cls.n_promoted
     if not np.all(cls.labels[first:] == ladder.PROMOTED):
         raise InvariantError(
-            f"sample {args[4]} (L={args[1]}, m={args[2]}): promoted states are not the last {cls.n_promoted} columns"
+            f"sample {index} (L={sites}, m={magnons}): promoted states are not the last {cls.n_promoted} columns"
         )
-    pc = entanglement.pair_concurrences(upper, spec.vectors[:, first:])
     energy = spec.order[spec.order >= first] - first  # promoted columns in energy order
-    return float(pc.mean(axis=0)[energy].mean()), float((pc > 0.0).mean(axis=0)[energy].mean())
+    return float(np.concatenate(mean)[energy].mean()), float(np.concatenate(positive)[energy].mean())
 
 
 def _pool_size(workers: int, n_jobs: int) -> int:
@@ -235,9 +306,17 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
 
 
 def _write_output(path: Path, header: dict, lines: list[str]) -> None:
+    """Write the ``# {json}`` header line, then each line, straight to the open file.
+
+    No joined copy of the lines is made.  Every caller passes at least
+    the column-header line.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = "\n".join(lines)
-    path.write_text(f"# {json.dumps(header, sort_keys=True)}\n{body}\n")
+    with path.open("w") as f:
+        f.write(f"# {json.dumps(header, sort_keys=True)}\n")
+        for line in lines:
+            f.write(line)
+            f.write("\n")
 
 
 def cmd_spectrum_report(cfg: ExperimentConfig) -> int:
@@ -536,11 +615,11 @@ def _check_memory(need: int, what: str) -> None:
 
 # Upper estimates of what the main process holds until a run's output is
 # written: per sample, its job tuple, its result and the pool's future; per
-# CSV row of at most 128 characters, six per-state array entries, the row's
-# list slot and str, and three more copies of its text (the joined body, the
-# written f-string and its encoded bytes).
+# CSV row of at most 128 characters, six per-state array entries and the
+# row's list slot and str (about 190 B measured for an 83-character row);
+# _write_output makes no joined copy of the rows.
 HELD_SAMPLE_BYTES = 2048
-HELD_ROW_BYTES = 640
+HELD_ROW_BYTES = 320
 
 
 def _check_sector(sites: int, magnons: int, workers: int, samples: int, rows: int) -> None:

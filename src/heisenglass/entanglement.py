@@ -26,9 +26,9 @@ import numpy as np
 
 from .basis import SectorBasis
 
-# Columns per panel wherever a kernel walks the columns of a dim x dim
-# eigenvector matrix (here, in spectrum and in ladder).  A constant, never
-# derived from the machine, so every column is summed the same way on every run.
+# Columns per panel wherever a kernel walks the columns of a block of
+# eigenvectors (here and in spectrum).  A constant, never derived from the
+# machine, so every column is summed the same way on every run.
 PANEL = 128
 
 

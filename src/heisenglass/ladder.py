@@ -8,12 +8,15 @@ on total spin S and magnetization M = m - L/2 is S^2 - S_z^2 + S_z, the
 integer S(S+1) - M^2 + M: 0 for states annihilated by the lowering
 operator ("new", S = L/2 - m), at least L - 2m + 2 otherwise.  Every
 eigenvector of :func:`spectrum.diagonalize` lies in one total-spin
-block, so :func:`classify` needs one norm pass and checks each value
-against the integer of its block.  Since a value is either 0 or at
-least 1, the fixed threshold ``LADDER_TOL`` = 1/2 separates the labels.
+block, and the solve records its value |sigma^- psi|^2 in the same pass
+that checks the block's Casimir residual, so :func:`classify` reads
+the values and checks each against the integer of its block.  Since a
+value is either 0 or at least 1, the fixed threshold ``LADDER_TOL`` =
+1/2 separates the labels.
 
-sigma^+ between adjacent sectors is one sparse 0/1 matrix, built in
-numpy from the rank arithmetic of :func:`basis.cleared_ranks`.
+sigma^+ between adjacent sectors is one sparse 0/1 matrix,
+:func:`basis.promotion_map`, built in numpy from the rank arithmetic of
+:func:`basis.cleared_ranks`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from .basis import SectorBasis, cleared_ranks
-from .entanglement import PANEL
+from .basis import ladder_integer, promotion_map
 from .spectrum import Spectrum, SpectrumError
 
 LADDER_TOL = 0.5
@@ -36,20 +38,6 @@ NEW = 0
 
 class ZeroPromotionError(ValueError):
     """sigma^+ annihilated the state, so no promoted state exists."""
-
-
-def promotion_map(target: SectorBasis) -> sparse.csr_array:
-    """Unnormalized sigma^+ from sector (L, m-1) into ``target`` = (L, m).
-
-    The 0/1 CSR matrix R (C(L, m) x C(L, m-1)) whose row t has a one at
-    each pattern that the t-th target pattern becomes with one up spin
-    cleared, lowest site first.  sigma^+ is R, its adjoint sigma^- is R^T.
-    """
-    # every target pattern has m set bits, so row t holds entries m*t .. m*t + m-1
-    columns = cleared_ranks(target).ravel()
-    indptr = np.arange(0, columns.size + 1, target.magnons)
-    shape = (target.dim, comb(target.sites, target.magnons - 1))
-    return sparse.csr_array((np.ones(columns.size), columns, indptr), shape=shape)
 
 
 def promote(coefficients: np.ndarray, raising: sparse.csr_array) -> np.ndarray:
@@ -97,20 +85,18 @@ def classify(spectrum: Spectrum, raising: sparse.csr_array) -> Classification:
 
     Every eigenvector lies in one total-spin block, so no rotation inside
     degeneracy groups is needed: the value is the squared norm of
-    sigma^- |psi>, taken as ``raising.T`` of :func:`promotion_map` on
-    ``PANEL`` eigenvectors at a time, and a state is promoted when it
-    exceeds ``LADDER_TOL``.  Each value must
-    match the integer S(S+1) - M^2 + M of the state's block to within
-    1e-8 * max(1, integer); otherwise SpectrumError is raised, since the
-    vector then mixes total spins or carries the wrong block label.
+    sigma^- |psi>, which :func:`spectrum.diagonalize` records in
+    ``spectrum.ladder_values``, and a state is promoted when it exceeds
+    ``LADDER_TOL``.  Each value must match the integer S(S+1) - M^2 + M
+    of the state's block to within 1e-8 * max(1, integer); otherwise
+    SpectrumError is raised, since the vector then mixes total spins or
+    carries the wrong block label.  So must their sum, the trace of
+    sigma^+ sigma^- over an orthonormal basis: ||``raising``||_F^2 =
+    m C(L, m), to within 1e-8 * max(1, trace).
     """
     b = spectrum.matrix.basis
-    values = np.empty(spectrum.dim)
-    for lo in range(0, spectrum.dim, PANEL):
-        lowered = raising.T @ spectrum.vectors[:, lo : lo + PANEL]
-        values[lo : lo + PANEL] = np.einsum("ij,ij->j", lowered, lowered)
-    m2 = 2 * b.magnons - b.sites  # 2M
-    integers = (spectrum.two_s * (spectrum.two_s + 2) - m2 * m2 + 2 * m2) // 4
+    values = spectrum.ladder_values
+    integers = ladder_integer(b.sites, b.magnons, spectrum.two_s)
     off = ~(np.abs(values - integers) <= 1e-8 * np.maximum(1, integers))  # NaN is off too
     if off.any():
         k = int(np.argmax(off))
@@ -118,6 +104,9 @@ def classify(spectrum: Spectrum, raising: sparse.csr_array) -> Classification:
             f"ladder value {values[k]:.12g} of state {k} is not {integers[k]}, "
             f"the integer of its spin block 2S={spectrum.two_s[k]}"
         )
+    trace = float(raising.data @ raising.data)
+    if not abs(values.sum() - trace) <= 1e-8 * max(1.0, trace):
+        raise SpectrumError(f"ladder values sum to {values.sum():.12g}, not the trace {trace:.12g} of sigma^+ sigma^-")
     return Classification(
         labels=np.where(values > LADDER_TOL, PROMOTED, NEW),
         ladder_eigenvalues=values,

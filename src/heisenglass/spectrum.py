@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 
@@ -16,6 +17,11 @@ from .sector import SectorMatrix
 # Largest eigenpair residual diagonalize accepts, relative to ||H||_F.
 RESIDUAL_RTOL = 1e-10
 
+# Largest |sigma^+ sigma^- v - n_S v| diagonalize accepts for a unit eigenvector
+# v of spin block S; it bounds overlaps between blocks by the same 1e-10 that
+# each block's Gram bounds within it.
+CASIMIR_TOL = 1e-10
+
 # Pages a solve touches beyond its arrays: BLAS/LAPACK buffers and allocator
 # bookkeeping, seen at up to 6 MiB above the array count.
 _LIBRARY_BYTES = 16 * 2**20
@@ -24,43 +30,48 @@ _LIBRARY_BYTES = 16 * 2**20
 def solve_bytes(sites: int, magnons: int) -> int:
     """Upper estimate of the bytes one sample's solve and statistics add above its sparse input.
 
-    The dim x dim array of :func:`diagonalize`, dim = C(L, m), lives from
-    the spin-block build to the last per-state statistic.  Next to it,
-    with d the widest spin block and p = ``PANEL``, this counts the
+    :func:`diagonalize` holds one spin block at a time.  For each block,
+    with dim = C(L, m), d its width and p = ``PANEL``, this counts the
     largest set of arrays alive at once in each phase, in float64 words
     unless stated:
 
-    * spin-block build: the arrays of both parent sectors (L-1, m) and
-      (L-1, m-1);
-    * block solve, one phase after the other: A = Q_S^T (H Q_S), formed
-      p columns at a time, next to scipy's contiguous copy of one strided
+    * spin-block build: the two widest consecutive levels of its
+      Clebsch-Gordan cone (:func:`basis.spin_block_words`);
+    * then the block's dim x d array Q_S, alive to the end of the block,
+      next to, one phase after the other: A = Q_S^T (H Q_S), formed p
+      columns at a time, next to scipy's contiguous copy of one strided
       p-column panel of Q_S, its product with H and the d x p panel of A
       it gives, d^2 + p (2 dim + d); eigh's A, its copy, a 2 d^2
       workspace and X; X next to one p-row panel of Q_S and its product
-      Q_S X_S; then two dim x p residual panels of H V_S (scipy's panel
-      copy, then V_S w);
-    * orthonormality check: one Gram panel of at most dim x p;
-    * classification: a contiguous copy of p eigenvectors and its
-      sigma^- image, p (dim + C(L, m-1));
-    * pair concurrences: the bytes of
-      :func:`entanglement.pair_concurrence_bytes` for dim columns, which
-      dominate at small m (its indicators are dim x C(L, 2)).
+      Q_S X_S; two dim x p residual panels of H V_S (scipy's panel copy,
+      then V_S w); one p x d panel of the block's Gram; and the ladder
+      pass, a panel copy, its sigma^- image, that image raised and n_S
+      times the panel, p (C(L, m-1) + 3 dim);
+    * the caller's statistics: the bytes of
+      :func:`entanglement.pair_concurrence_bytes` for at most
+      max(d, p) columns, next to Q_S and the fewer than p columns the
+      CLI holds to fill a panel with their copy, 2 p dim words; they
+      dominate at small m (the indicators are dim x C(L, 2)).
 
-    One more dim^2 covers freed blocks the allocator keeps, and a fixed
+    On top of the worst block: 16 dim words of per-state results, one
+    more dim x d_max for freed blocks the allocator keeps, and a fixed
     16 MiB the library buffers.
     """
-    dim = comb(sites, magnons)
-    d = max(comb(sites, k) - (comb(sites, k - 1) if k else 0) for k in range(min(magnons, sites - magnons) + 1))
-    words = max(
-        comb(sites - 1, magnons) ** 2 + comb(sites - 1, magnons - 1) ** 2,
-        d * d + PANEL * (2 * dim + d),
-        5 * d * d,
-        d * d + 2 * PANEL * d,
-        2 * PANEL * dim,
-        PANEL * (dim + comb(sites, magnons - 1)),
-    )
-    concurrence = entanglement.pair_concurrence_bytes(sites, magnons, dim)
-    return 16 * dim * dim + max(8 * words, concurrence) + _LIBRARY_BYTES
+    dim, lower = comb(sites, magnons), comb(sites, magnons - 1) if magnons else 0
+    p = PANEL
+    worst = widest = 0
+    for two_s in basis.block_spins(sites, magnons):
+        d = basis.multiplets(sites, two_s)
+        widest = max(widest, d)
+        phases = max(d * d + p * (2 * dim + d), 5 * d * d, d * d + 2 * p * d, 2 * p * dim, p * d,
+                     p * (lower + 3 * dim))
+        worst = max(
+            worst,
+            8 * basis.spin_block_words(sites, magnons, two_s),
+            8 * (dim * d + phases),
+            8 * dim * (d + 2 * p) + entanglement.pair_concurrence_bytes(sites, magnons, max(d, p)),
+        )
+    return worst + 8 * (16 * dim + dim * widest) + _LIBRARY_BYTES
 
 
 class SpectrumError(RuntimeError):
@@ -69,23 +80,25 @@ class SpectrumError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Eigendecomposition of one sector matrix, in spin-block order.
+    """Eigenvalues of one sector matrix and what each eigenvector showed, in spin-block order.
 
-    Eigenvector k is column k of ``vectors``, a C-ordered (dim, dim)
-    array, with eigenvalue ``eigenvalues[k]``, and lies in the total-spin
-    block ``two_s[k]`` = 2S.  The blocks follow each other with 2S
-    ascending, and the eigenvalues ascend within each block.  ``order``
-    is the stable argsort of ``eigenvalues``, the one permutation into
-    energy order: ``eigenvalues[order]`` ascends.  ``groups`` and
-    :meth:`degenerate_mask` are in energy order: ``groups`` lists
-    contiguous (start, stop) ranges of ``eigenvalues[order]`` that chain
-    together within ``degtol`` = 1e-8 * max(1, ||H||_F).
+    The eigenvectors themselves are not kept: :func:`diagonalize` hands
+    each spin block's eigenvectors to its ``measure`` hook and drops them.
+    State k has eigenvalue ``eigenvalues[k]``, lies in the total-spin
+    block ``two_s[k]`` = 2S and has the ladder value
+    ``ladder_values[k]`` = |sigma^- v_k|^2.  The blocks follow each other
+    with 2S ascending, and the eigenvalues ascend within each block.
+    ``order`` is the stable argsort of ``eigenvalues``, the one
+    permutation into energy order: ``eigenvalues[order]`` ascends.
+    ``groups`` and :meth:`degenerate_mask` are in energy order: ``groups``
+    lists contiguous (start, stop) ranges of ``eigenvalues[order]`` that
+    chain together within ``degtol`` = 1e-8 * max(1, ||H||_F).
     """
 
     matrix: SectorMatrix
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     two_s: np.ndarray
+    ladder_values: np.ndarray
     order: np.ndarray
     degtol: float
     groups: list[tuple[int, int]] = field(repr=False)
@@ -110,45 +123,70 @@ def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int
     return list(zip([0] + cuts, cuts + [n])) if n else []
 
 
-def diagonalize(sm: SectorMatrix) -> Spectrum:
+def diagonalize(
+    sm: SectorMatrix,
+    raising: sparse.csr_array | None = None,
+    measure: Callable[[int, np.ndarray], None] | None = None,
+) -> Spectrum:
     """Eigensolve a sparse Heisenberg sector block one total spin at a time.
 
     ``sm.matrix`` is a canonical CSR matrix that must commute with the
     total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
-    does.  One (dim, dim) array carries the whole solve: it starts as the
-    spin blocks Q_S of :func:`basis.total_spin_blocks`, and :func:`_solve_block`
-    reduces each block to the d x d matrix Q_S^T H Q_S one column panel
-    at a time and replaces the block by its eigenvectors V_S = Q_S X_S in
-    place.  The array is returned as ``vectors`` in that spin-block
-    order, so the residual check of each block covers the returned
-    columns themselves; energy order is the permutation ``order`` of the
-    1-D outputs alone.  No dense copy of H, no dim x d product H Q_S, no
-    merged copy of the eigenvectors and no dim x dim Gram matrix is made.
+    does.  The spin blocks are streamed, 2S ascending, and only one is
+    alive at a time.  For each, :func:`basis.spin_block` builds Q_S,
+    :func:`_solve_block` reduces it to the d x d matrix Q_S^T H Q_S one
+    column panel at a time and replaces it by its eigenvectors
+    V_S = Q_S X_S in place, the block's checks run on V_S, and
+    ``measure(two_s, V_S)`` gets the checked eigenvectors before they are
+    dropped: the caller takes every per-state statistic there, and may
+    keep V_S, which diagonalize no longer touches.  No dense
+    copy of H, no dim x d product H Q_S and no dim x dim array is made.
+
+    ``raising`` is sigma^+ into this sector, :func:`basis.promotion_map`
+    of ``sm.basis``, built here when not given.  It serves the Casimir
+    check: sigma^+ sigma^- is symmetric and acts on block S as the integer
+    n_S of :func:`basis.ladder_integer`, and distinct blocks have integers
+    at least 2 apart, so columns v, v' of two blocks with residuals
+    |sigma^+ sigma^- v - n_S v| <= ``CASIMIR_TOL`` overlap by at most
+    ``CASIMIR_TOL`` (1 + ``CASIMIR_TOL``).  With each block's own Gram
+    this bounds every entry of V^T V - I as the whole Gram would.  The
+    same pass records |sigma^- v|^2 in ``Spectrum.ladder_values``.
 
     Raises SpectrumError for a non-finite stored entry, an eigenpair
     residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
-    without SU(2) symmetry, or an asymmetric one, produces), eigenvectors that are not
-    orthonormal (:func:`orthonormality_deviation` above 1e-10), or an
+    without SU(2) symmetry, or an asymmetric one, produces), a block whose
+    eigenvectors are not orthonormal (:func:`orthonormality_deviation`
+    above 1e-10), a Casimir residual above ``CASIMIR_TOL``, or an
     eigenvalue sum that disagrees with the trace, instead of returning a
-    silently bad decomposition.
+    silently bad decomposition.  A block that fails is not measured.
     """
-    H = sm.matrix
+    H, b = sm.matrix, sm.basis
     if not np.isfinite(H.data).all():
         raise SpectrumError("sector matrix has non-finite entries")
-    vectors, two_s = basis.total_spin_blocks(sm.basis.sites, sm.basis.magnons)
-    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
-    solved = [_solve_block(H, vectors[:, lo:hi], int(two_s[lo])) for lo, hi in zip(starts, starts[1:] + [sm.dim])]
-    evals = np.concatenate([w for w, _ in solved])
-    residual = np.concatenate([r for _, r in solved])
-
+    if raising is None:
+        raising = basis.promotion_map(b)
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
-    worst = float(residual.max(initial=0.0))
-    if not worst <= RESIDUAL_RTOL * scale:
-        raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F")
-
-    ortho = orthonormality_deviation(vectors)
-    if not ortho <= 1e-10:
-        raise SpectrumError(f"eigenvectors not orthonormal, deviation {ortho:.3e}")
+    evals, values, two_s = [], [], []
+    for s2 in basis.block_spins(b.sites, b.magnons):
+        V = basis.spin_block(b.sites, b.magnons, s2)
+        w, residual = _solve_block(H, V, s2)
+        worst = float(residual.max(initial=0.0))
+        if not worst <= RESIDUAL_RTOL * scale:
+            raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F at 2S={s2}")
+        ortho = orthonormality_deviation(V)
+        if not ortho <= 1e-10:
+            raise SpectrumError(f"eigenvectors not orthonormal at 2S={s2}, deviation {ortho:.3e}")
+        value, casimir = _ladder_pass(raising, V, basis.ladder_integer(b.sites, b.magnons, s2))
+        worst = float(casimir.max(initial=0.0))
+        if not worst <= CASIMIR_TOL:
+            raise SpectrumError(f"Casimir residual {worst:.3e} at 2S={s2} exceeds {CASIMIR_TOL:.1e}")
+        if measure is not None:
+            measure(s2, V)
+        del V  # the next block is built without this one alive
+        evals.append(w)
+        values.append(value)
+        two_s.append(np.full(w.size, s2))
+    evals = np.concatenate(evals)
     tr = float(H.diagonal().sum())
     if not abs(evals.sum() - tr) <= 1e-9 * max(1.0, abs(tr)):
         raise SpectrumError("eigenvalue sum disagrees with trace")
@@ -158,8 +196,8 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
     return Spectrum(
         matrix=sm,
         eigenvalues=evals,
-        vectors=vectors,
-        two_s=two_s,
+        two_s=np.concatenate(two_s),
+        ladder_values=np.concatenate(values),
         order=order,
         degtol=degtol,
         groups=group_degeneracies(evals[order], degtol),
@@ -169,16 +207,15 @@ def diagonalize(sm: SectorMatrix) -> Spectrum:
 def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and residual norms |H V - V w| of one spin block, whose columns Q become V = Q X.
 
-    ``Q`` is a column range of the solve's array, passed to BLAS as a
-    strided view.  The d x d matrix A = Q^T H Q is formed ``PANEL``
-    columns at a time, and only from each panel's diagonal down,
-    A[lo:, panel] = Q[:, lo:]^T (H Q[:, panel]), since LAPACK reads the
-    lower triangle alone.  (OpenBLAS may send a thin last panel to its
-    small-matrix kernel, so A can differ from the full product in the
-    last bits.)  No product wider than one panel is alive (scipy copies
-    one strided panel of Q at a time).  Q X overwrites Q ``PANEL`` rows at a
-    time.  The residuals are then taken from H itself on the returned
-    columns, ``PANEL`` columns at a time.
+    ``Q`` is the block's own C-ordered (dim, d) array.  The d x d matrix
+    A = Q^T H Q is formed ``PANEL`` columns at a time, and only from each
+    panel's diagonal down, A[lo:, panel] = Q[:, lo:]^T (H Q[:, panel]),
+    since LAPACK reads the lower triangle alone.  (OpenBLAS may send a
+    thin last panel to its small-matrix kernel, so A can differ from the
+    full product in the last bits.)  No product wider than one panel is
+    alive (scipy copies one strided panel of Q at a time).  Q X overwrites
+    Q ``PANEL`` rows at a time.  The residuals are then taken from H
+    itself on the returned columns, ``PANEL`` columns at a time.
     """
     dim, width = Q.shape
     A = np.empty((width, width))  # above the diagonal panels, A stays unset
@@ -201,6 +238,24 @@ def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.nda
         HV -= Q[:, cols] * w[cols]
         residual[cols] = np.linalg.norm(HV, axis=0)
     return w, residual
+
+
+def _ladder_pass(raising: sparse.csr_array, V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|sigma^- v|^2 and the Casimir residual |sigma^+ sigma^- v - n v| of each column v of ``V``.
+
+    One sigma^- product per ``PANEL`` columns serves both: sigma^- is
+    ``raising.T`` and sigma^+ is ``raising``.
+    """
+    width = V.shape[1]
+    values, residual = np.empty(width), np.empty(width)
+    for lo in range(0, width, PANEL):
+        cols = slice(lo, lo + PANEL)
+        lowered = raising.T @ V[:, cols]
+        values[cols] = np.einsum("ij,ij->j", lowered, lowered)
+        raised = raising @ lowered
+        raised -= n * V[:, cols]
+        residual[cols] = np.linalg.norm(raised, axis=0)
+    return values, residual
 
 
 def orthonormality_deviation(vectors: np.ndarray) -> float:

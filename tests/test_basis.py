@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import blocks
 import oracles
 from heisenglass import basis, couplings, ladder, sector
 
@@ -80,9 +82,12 @@ def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         basis.build_basis(40, 10)  # dimension above DEFAULT_MAX_DIM
     with pytest.raises(ValueError):
-        basis.total_spin_blocks(0, 0)
+        basis.spin_block(0, 0, 0)
     with pytest.raises(ValueError):
-        basis.total_spin_blocks(4, 5)
+        basis.spin_block(4, 5, 1)
+    for two_s in (-2, 0, 3, 6):  # below 2|M| = 2 at (4, 1), odd, or above L
+        with pytest.raises(ValueError):
+            basis.spin_block(4, 1, two_s)
 
 
 def test_occupancy_columns_of_wide_patterns():
@@ -145,7 +150,7 @@ spin_sectors = st.integers(1, 12).flatmap(lambda L: st.tuples(st.just(L), st.int
 @example((7, 5))
 def test_total_spin_blocks_orthonormal_with_multiplet_counts(sector_lm):
     sites, magnons = sector_lm
-    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    Q, two_s = blocks.spin_blocks(sites, magnons)
     dim = comb(sites, magnons)
     assert Q.shape == (dim, dim) and Q.dtype == np.float64 and Q.flags.c_contiguous
     assert two_s.shape == (dim,) and two_s.dtype.kind == "i" and np.all(np.diff(two_s) >= 0)
@@ -165,8 +170,9 @@ def test_total_spin_blocks_are_ladder_eigenspaces(sector_lm):
     sites, magnons = sector_lm
     raising = ladder.promotion_map(basis.build_basis(sites, magnons))
     m2 = 2 * magnons - sites
-    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    Q, two_s = blocks.spin_blocks(sites, magnons)
     value = (two_s * (two_s + 2) - m2 * m2 + 2 * m2) / 4
+    assert np.array_equal(basis.ladder_integer(sites, magnons, two_s), value)
     assert np.abs(raising @ (raising.T @ Q) - value * Q).max() <= 1e-12
 
 
@@ -177,7 +183,27 @@ def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
     sites, magnons = sector_lm
     cm = couplings.sample_couplings(sites, 0.0, seed)
     H = sector.assemble(cm, basis.build_basis(sites, magnons)).matrix.toarray()
-    Q, two_s = basis.total_spin_blocks(sites, magnons)
+    Q, two_s = blocks.spin_blocks(sites, magnons)
     # every entry of Q^T H Q between columns of different spin vanishes
     coupling = (Q.T @ H @ Q)[two_s[:, None] != two_s[None, :]]
     assert np.abs(coupling).max(initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(H))
+
+
+@given(spin_sectors)
+@example((13, 6))
+@example((25, 2))
+def test_spin_block_words_count_the_cone(sector_lm):
+    # the two widest consecutive levels of each block's cone: the arrays of
+    # spin_block that tracemalloc sees, up to numpy's ufunc buffers (about
+    # 130 kB when a strided block is scaled into its column range) and the dicts
+    sites, magnons = sector_lm
+    for two_s in basis.block_spins(sites, magnons):
+        tracemalloc.start()
+        try:
+            Q = basis.spin_block(sites, magnons, two_s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        words = basis.spin_block_words(sites, magnons, two_s)
+        assert Q.shape[1] == basis.multiplets(sites, two_s)
+        assert 8 * words <= peak <= 8 * words + 2**18

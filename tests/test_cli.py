@@ -246,8 +246,8 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_half_filled_l16_report_fits_two_workers_in_7_83_gib(tmp_path, monkeypatch):
-    # L=16, m=8 (dim 12870): each worker's solve holds one dim x dim array of
-    # eigenvectors, so two samples on two workers pass validation on 7.83 GiB
+    # L=16, m=8 (dim 12870): each worker's solve holds one spin block of
+    # eigenvectors at a time, so two samples on two workers pass validation on 7.83 GiB
     def no_sampling(*args):
         raise AssertionError("validation must not start a sample")
 
@@ -348,22 +348,26 @@ def _has_live_blas_threads() -> bool:
 
 
 # prints the live BLAS thread count before each sample, in the process that solves
-# it (a forked worker inherits the patched job), and in the main process at the end
+# it (a forked worker inherits the patched job), and in the main process at the end;
+# each line is one os.write, atomic on a pipe, so two workers' lines never interleave
 _COUNTED_SCRIPT = """
-import ctypes, sys
+import ctypes, os, sys
 from numpy._core import _multiarray_umath
 from heisenglass import cli
 
 live = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
 job = cli._eigen_job
 
+def report():
+    os.write(1, f"threads {live()}\\n".encode())
+
 def counted(args):
-    print("threads", live(), flush=True)
+    report()
     return job(args)
 
 cli._eigen_job = counted
 rc = cli.main(sys.argv[1:])
-print("threads", live())
+report()
 sys.exit(rc)
 """
 
@@ -589,6 +593,26 @@ def test_eigenstate_sample_matches_job_wrapper():
     assert all(np.array_equal(a, b) for a, b in zip(direct, wrapped))
     assert all(len(column) == 28 for column in direct)
     assert int(direct.promoted.sum()) == 8
+
+
+@pytest.mark.parametrize("widths", [(275, 24, 1), (429, 572, 429, 208, 65, 12, 1), (3, 128, 5), (256,)])
+def test_panels_hand_over_the_column_panels_of_the_blocks_side_by_side(widths):
+    # the pair kernel walks every pair once per column panel, so the blocks of one
+    # sample reach it in the 128-column panels of their concatenation, no more
+    rng = np.random.Generator(np.random.Philox(3))
+    blocks = [rng.standard_normal((7, w)) for w in widths]
+    handed = []
+    panels = cli._Panels(handed.append)
+    for block in blocks:
+        panels.add(block)
+        assert not any(np.shares_memory(block, held) for held in panels.held if held.shape[1] < block.shape[1])
+        assert panels.width == sum(h.shape[1] for h in panels.held) < entanglement.PANEL
+    panels.flush()
+    assert np.array_equal(np.hstack(handed), np.hstack(blocks))
+    edges = np.cumsum([0] + [h.shape[1] for h in handed])
+    assert np.all(edges[1:-1] % entanglement.PANEL == 0)
+    panel_count = sum(-(-h.shape[1] // entanglement.PANEL) for h in handed)
+    assert panel_count == -(-sum(widths) // entanglement.PANEL)
 
 
 def test_promoted_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):

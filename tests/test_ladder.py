@@ -1,6 +1,7 @@
 import dataclasses
 from math import comb, inf, sqrt
 
+import blocks
 import numpy as np
 import pytest
 
@@ -67,9 +68,9 @@ def test_promoted_eigenstates_stay_eigenstates():
     cm = couplings.sample_couplings(sites, 0.0, 5)
     b2, raising = _raising(sites, 2)
     H2 = sector.assemble(cm, b2).matrix.toarray()
-    s1 = spectrum.diagonalize(sector.assemble(cm, basis.build_basis(sites, 1)))
+    s1, vectors = blocks.eigenvectors(sector.assemble(cm, basis.build_basis(sites, 1)))
     for k in range(s1.dim):
-        phi = raising @ s1.vectors[:, k]
+        phi = raising @ vectors[:, k]
         phi /= np.linalg.norm(phi)
         assert np.linalg.norm(H2 @ phi - s1.eigenvalues[k] * phi) <= 1e-9
 
@@ -163,8 +164,11 @@ def test_classification_counts_large_sector():
 
 
 def test_new_states_are_annihilated_by_lowering():
-    spec, raising, cls = _classified(0.0, 10, 2, 7)
-    lowered = raising.T @ spec.vectors
+    cm = couplings.sample_couplings(10, 0.0, 7)
+    target, raising = _raising(10, 2)
+    spec, vectors = blocks.eigenvectors(sector.assemble(cm, target), raising)
+    cls = ladder.classify(spec, raising)
+    lowered = raising.T @ vectors
     norms = np.linalg.norm(lowered, axis=0)
     assert norms[cls.labels == ladder.NEW].max() <= 1e-8
     assert norms[cls.labels == ladder.PROMOTED].min() >= 1.0
@@ -202,13 +206,26 @@ def test_classify_rejects_swapped_block_labels():
 
 
 def test_classify_rejects_vector_mixing_two_spins():
+    # (a +- b) / sqrt(2) for a of block 3 and b of block 5 is still orthonormal, and
+    # |sigma^- v|^2 of either is the mean of the two blocks' integers, 0 and 5
     spec, raising, _ = _classified(0.0, 7, 2, 4)
     i, j = _two_block_columns(spec)
-    vectors = spec.vectors.copy()
-    a, b = spec.vectors[:, i], spec.vectors[:, j]
-    vectors[:, i], vectors[:, j] = (a + b) / sqrt(2), (a - b) / sqrt(2)  # still orthonormal
+    values = spec.ladder_values.copy()
+    values[[i, j]] = values[[i, j]].mean()
     with pytest.raises(spectrum.SpectrumError, match="integer of its spin block"):
-        ladder.classify(dataclasses.replace(spec, vectors=vectors), raising)
+        ladder.classify(dataclasses.replace(spec, ladder_values=values), raising)
+
+
+def test_classify_rejects_ladder_values_off_the_trace():
+    # every value on its block's integer, but one block counted twice: the values
+    # no longer sum to ||raising||_F^2 = m C(L, m), the trace of sigma^+ sigma^-
+    spec, raising, _ = _classified(0.0, 7, 2, 4)
+    assert float(spec.ladder_values.sum()) == pytest.approx(2 * comb(7, 2), abs=1e-9)
+    keep = spec.two_s != 3
+    twice = dataclasses.replace(spec, two_s=np.append(spec.two_s, spec.two_s[keep]),
+                                ladder_values=np.append(spec.ladder_values, spec.ladder_values[keep]))
+    with pytest.raises(spectrum.SpectrumError, match="not the trace"):
+        ladder.classify(twice, raising)
 
 
 def test_all_one_state_classified_promoted():
@@ -246,9 +263,12 @@ def test_labels_invariant_under_coupling_rescale():
 
 
 def test_promoted_cloud_sits_above_new_median():
+    target, raising = _raising(25, 2)
     for seed in (0, 1, 2):
-        spec, _, cls = _classified(0.0, 25, 2, seed)
-        cbar = entanglement.pair_concurrences(spec.matrix.basis, spec.vectors).mean(axis=0)
+        cm = couplings.sample_couplings(25, 0.0, seed)
+        spec, vectors = blocks.eigenvectors(sector.assemble(cm, target), raising)
+        cls = ladder.classify(spec, raising)
+        cbar = entanglement.pair_concurrences(target, vectors).mean(axis=0)
         promoted = cbar[cls.labels == ladder.PROMOTED]
         new = cbar[cls.labels == ladder.NEW]
         assert promoted.min() > np.median(new)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import blocks
 import oracles
-from heisenglass import basis, couplings, sector, spectrum
+from heisenglass import basis, cli, couplings, ladder, sector, spectrum
 from heisenglass.verify import jacobi_eigenvalues
 
 
@@ -28,11 +29,11 @@ def test_two_spin_eigenvalues():
 
 def test_all_one_vector_is_eigenvector():
     cm, sm = _sector(0.0, 8, 2, 3)
-    spec = spectrum.diagonalize(sm)
+    spec, vectors = blocks.eigenvectors(sm)
     k = int(np.argmin(np.abs(spec.eigenvalues - cm.coupling_sum())))
     assert abs(spec.eigenvalues[k] - cm.coupling_sum()) <= 1e-9
     uniform = np.full(sm.dim, 1.0 / np.sqrt(sm.dim))
-    v = spec.vectors[:, k]
+    v = vectors[:, k]
     assert min(np.abs(v - uniform).max(), np.abs(v + uniform).max()) <= 1e-9
 
 
@@ -64,18 +65,18 @@ def test_rejects_sector_block_missing_one_triangle(triangle):
 
 def test_eigensolve_is_deterministic():
     _, sm = _sector(1.0, 9, 2, 11)
-    a = spectrum.diagonalize(sm)
-    b = spectrum.diagonalize(sm)
-    assert np.array_equal(a.vectors, b.vectors)
+    a, a_vectors = blocks.eigenvectors(sm)
+    b, b_vectors = blocks.eigenvectors(sm)
+    assert np.array_equal(a_vectors, b_vectors)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 def test_eigensolver_postconditions():
     _, sm = _sector(inf, 10, 3, 2)
-    spec = spectrum.diagonalize(sm)
+    spec, vectors = blocks.eigenvectors(sm)
     H = sm.matrix.toarray()
     assert np.all(np.diff(spec.eigenvalues[spec.order]) >= 0)
-    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(spec.dim)).max() <= 1e-10
+    assert np.abs(vectors.T @ vectors - np.eye(spec.dim)).max() <= 1e-10
     assert spec.eigenvalues.sum() == pytest.approx(np.trace(H), rel=1e-9)
     assert (spec.eigenvalues**2).sum() == pytest.approx(np.linalg.norm(H) ** 2, rel=1e-9)
 
@@ -100,8 +101,8 @@ def test_panelled_orthonormality_matches_dense_gram(first, second):
 
 
 def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
-    # a column scaled by 1 + 1e-7 keeps a residual near rounding, so only the
-    # Gram check (its diagonal) can catch it
+    # a column scaled by 1 + 1e-7 keeps its eigenpair and Casimir residuals near
+    # rounding, so only the block's Gram check (its diagonal) can catch it
     eigh = np.linalg.eigh
     scaled = []
 
@@ -121,7 +122,8 @@ def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
 
 def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
     # two columns of X exchanged, w left as eigh returned it: the columns stay
-    # orthonormal and the trace holds, so only the residual of H V can catch it
+    # orthonormal and in their spin block and the trace holds, so only the
+    # residual of H V can catch it
     eigh = np.linalg.eigh
     gaps = []
 
@@ -142,29 +144,30 @@ def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
 def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
     # dim 210 spans two column panels of the residual check; five spin blocks interleave in energy
     _, sm = _sector(1.0, 10, 4, 8)
-    spec = spectrum.diagonalize(sm)
+    handed = []
+    spec = spectrum.diagonalize(sm, measure=lambda two_s, vectors: handed.append((two_s, vectors)))
     H = sm.matrix.toarray()
+    assert [two_s for two_s, _ in handed] == [2, 4, 6, 8, 10]
+    assert all(v.flags.c_contiguous and v.shape == (sm.dim, basis.multiplets(10, two_s)) for two_s, v in handed)
+    vectors = np.hstack([v for _, v in handed])
     assert np.unique(spec.two_s).size == 5 and np.any(np.diff(spec.two_s) != 0)
-    residual = np.linalg.norm(H @ spec.vectors - spec.vectors * spec.eigenvalues, axis=0)
+    residual = np.linalg.norm(H @ vectors - vectors * spec.eigenvalues, axis=0)
     assert residual.max() <= 1e-10 * np.linalg.norm(H)
-    assert spec.vectors.flags.c_contiguous
 
 
 def test_block_solve_allocates_less_than_one_dim_by_d_array():
     # the widest spin block of IR L=13, m=6 (d = 572 of dim 1716): A = Q^T H Q is
     # formed one column panel at a time, so no dim x d product H Q is ever alive
     _, sm = _sector(0.0, 13, 6, 0)
-    vectors, two_s = basis.total_spin_blocks(13, 6)
-    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
-    lo, hi = max(zip(starts, starts[1:] + [sm.dim]), key=lambda block: block[1] - block[0])
-    assert hi - lo == 572
+    Q = basis.spin_block(13, 6, 3)
+    assert Q.shape == (sm.dim, 572) == (sm.dim, max(basis.multiplets(13, s2) for s2 in basis.block_spins(13, 6)))
     tracemalloc.start()
     try:
-        spectrum._solve_block(sm.matrix, vectors[:, lo:hi], int(two_s[lo]))
+        spectrum._solve_block(sm.matrix, Q, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * sm.dim * (hi - lo)
+    assert peak < 8 * sm.dim * Q.shape[1]
 
 
 def test_lower_triangle_formation_matches_the_full_product():
@@ -175,21 +178,68 @@ def test_lower_triangle_formation_matches_the_full_product():
     _, sm = _sector(0.0, 12, 6, 7)
     H = sm.matrix
     scale = np.linalg.norm(H.data)
-    vectors, two_s = basis.total_spin_blocks(12, 6)
-    starts = np.flatnonzero(np.diff(two_s, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [sm.dim]):
-        Q = vectors[:, lo:hi]
-        full = np.empty((hi - lo, hi - lo))
-        for p in range(0, hi - lo, spectrum.PANEL):
+    for two_s in basis.block_spins(12, 6):
+        Q = basis.spin_block(12, 6, two_s)
+        d = Q.shape[1]
+        full = np.empty((d, d))
+        for p in range(0, d, spectrum.PANEL):
             full[:, p:p + spectrum.PANEL] = Q.T @ (H @ Q[:, p:p + spectrum.PANEL])
         w_full, X_full = np.linalg.eigh(full)
         V_full = Q @ X_full
-        w, _ = spectrum._solve_block(H, Q, int(two_s[lo]))
+        w, _ = spectrum._solve_block(H, Q, two_s)
         assert np.abs(w - w_full).max() <= 1e-13 * scale
         overlap = np.abs(np.sum(Q * V_full, axis=0))  # |<v, v_full>| per eigenpair, up to sign
         simple = np.diff(w_full, prepend=-np.inf, append=np.inf)
         simple = np.minimum(simple[:-1], simple[1:]) > 1e-6 * scale
         assert np.abs(overlap[simple] - 1.0).max() <= 1e-9
+
+
+def _rewrite_first_column(monkeypatch, into: int, rewrite) -> list:
+    """Make _solve_block replace the first returned column v of block 2S = ``into`` by ``rewrite(v)``.
+
+    The change comes after the block's eigenpair residuals are taken, as a
+    faulty write-back would, so only the checks that follow can see it.
+    Returns the list that receives the block's Gram deviation after the change.
+    """
+    solve = spectrum._solve_block
+    gram = []
+
+    def rewritten(H, Q, two_s):
+        out = solve(H, Q, two_s)
+        if two_s == into:
+            Q[:, 0] = rewrite(Q[:, 0])
+            gram.append(spectrum.orthonormality_deviation(Q))
+        return out
+
+    monkeypatch.setattr(spectrum, "_solve_block", rewritten)
+    return gram
+
+
+def test_overlap_with_another_spin_block_fails_the_casimir_check(monkeypatch):
+    # 1e-9 of a column of block 2S=2 added to a column of block 2S=4: the block's
+    # own Gram moves by 1e-18 only, but the column now overlaps block 2 by 1e-9,
+    # which a whole-sector Gram would catch and the Casimir residual does
+    _, sm = _sector(1.0, 10, 4, 3)
+    foreign = basis.spin_block(10, 4, 2)[:, 0]
+    own = basis.spin_block(10, 4, 4)[:, 0]
+    assert spectrum.orthonormality_deviation(np.column_stack([own + 1e-9 * foreign, foreign])) > 1e-10
+    gram = _rewrite_first_column(monkeypatch, 4, lambda v: v + 1e-9 * foreign)
+    measured = []
+    with pytest.raises(spectrum.SpectrumError, match="Casimir residual .* at 2S=4"):
+        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
+    assert gram and gram[0] <= 1e-10
+    assert measured == [2]  # the failing block is never measured
+
+
+def test_vector_mixing_two_spins_fails_the_casimir_check(monkeypatch):
+    # (a + b) / sqrt(2), a of block 2S=3 and b of block 2S=5 (L=7, m=2): a unit vector
+    # orthogonal to the rest of block 3, so only the Casimir residual sees the mix
+    _, sm = _sector(0.0, 7, 2, 4)
+    other = basis.spin_block(7, 2, 5)[:, 0]
+    gram = _rewrite_first_column(monkeypatch, 3, lambda v: (v + other) / np.sqrt(2))
+    with pytest.raises(spectrum.SpectrumError, match="Casimir residual .* at 2S=3"):
+        spectrum.diagonalize(sm)
+    assert gram and gram[0] <= 1e-10
 
 
 def test_nonfinite_input_raises():
@@ -216,8 +266,8 @@ def test_triplet_grouping():
 
 def test_columns_carry_their_spin_block():
     _, sm = _sector(1.0, 9, 4, 6)
-    spec = spectrum.diagonalize(sm)
-    Q, block_two_s = basis.total_spin_blocks(9, 4)
+    spec, vectors = blocks.eigenvectors(sm)
+    Q, block_two_s = blocks.spin_blocks(9, 4)
     assert spec.two_s.dtype.kind == "i"
     # spin-block order: the blocks as built, eigh's ascending energies within each
     assert np.array_equal(spec.two_s, block_two_s)
@@ -226,12 +276,14 @@ def test_columns_carry_their_spin_block():
     assert np.array_equal(spec.order, np.argsort(spec.eigenvalues, kind="stable"))
     assert not np.array_equal(spec.order, np.arange(spec.dim))  # the blocks interleave in energy
     assert spec.groups == spectrum.group_degeneracies(spec.eigenvalues[spec.order], spec.degtol)
-    # column k lies entirely in the span of block two_s[k]
+    # column k lies entirely in the span of block two_s[k], and |sigma^- v|^2 is recorded for it
     inside = np.empty(spec.dim)
     for k in np.unique(block_two_s):
         cols = spec.two_s == k
-        inside[cols] = np.linalg.norm(Q[:, block_two_s == k].T @ spec.vectors[:, cols], axis=0)
+        inside[cols] = np.linalg.norm(Q[:, block_two_s == k].T @ vectors[:, cols], axis=0)
     assert np.abs(inside - 1.0).max() <= 1e-12
+    lowered = ladder.promotion_map(sm.basis).T @ vectors
+    assert np.abs(spec.ladder_values - np.einsum("ij,ij->j", lowered, lowered)).max() <= 1e-12
 
 
 def test_degenerate_mask():
@@ -239,8 +291,8 @@ def test_degenerate_mask():
     spec = spectrum.Spectrum(
         matrix=sm,
         eigenvalues=np.array([1.0, 1.0, 2.0]),
-        vectors=np.eye(3),
         two_s=np.array([0, 0, 2]),
+        ladder_values=np.array([0.0, 0.0, 2.0]),
         order=np.arange(3),
         degtol=1e-8,
         groups=[(0, 2), (2, 3)],
@@ -338,8 +390,8 @@ def test_sample_peak_stays_within_budget(sites, magnons):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("args,limit", [
-    ((13, 6, "sample"), 2.0),  # one (dim, dim) array per solve: no merged copy, no dim x dim Gram,
-    ((14, 7, "sample"), 1.8),  # and no dim x d array beside it at any point of a block solve
+    ((13, 6, "sample"), 1.4),  # one spin block at a time, no (dim, dim) array: the widest block
+    ((14, 7, "sample"), 1.2),  # and its cone or eigh's d x d arrays set the peak
     ((60, 2), 6.5),  # one block of nearly dim columns: eigh's own d x d arrays set the peak
     ((150, 1, "sample"), 200.0),  # the C(L, 2) x L concurrences and one gathered row set of that size
 ])
@@ -347,3 +399,16 @@ def test_peak_growth_in_dense_matrices(args, limit):
     # Peak resident set above the starting one, in units of one dim x dim float64 array.
     dim = comb(args[0], args[1])
     assert _peak_growth(*args) < limit * 8 * dim * dim
+
+
+def test_sample_allocates_less_than_one_dim_by_dim_array():
+    # IR L=13, m=6 (dim 1716): a whole CLI sample, bases, solve, labels and per-state
+    # statistics, holds one spin block at a time and never a (dim, dim) array
+    cli.eigenstate_sample(0.0, 6, 3, 0, 0)  # first calls into BLAS, LAPACK and scipy.sparse
+    tracemalloc.start()
+    try:
+        cli.eigenstate_sample(0.0, 13, 6, 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * comb(13, 6) ** 2

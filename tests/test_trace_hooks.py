@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,4 +50,11 @@ def test_tracer_attaches_to_every_layer(tmp_path):
         assert runs[name]["layers"]["ladder.promoted_ratio"] == 1.0, name
     for name in ("eigenstates", "promoted-all"):
         assert runs[name]["layers"]["entanglement.pair_columns"] > 0, name
+    # every eigh runs inside diagonalize, where the tracer records it
+    assert runs["report"]["layers"]["spectrum.eigh_s"] > 0
+    # pair columns, C(L, 2) pairs times the states measured, count each spin block once:
+    # every state of two L=8 m=2 samples, and the L promoted states of two samples per L
+    assert runs["report"]["layers"]["entanglement.pair_columns"] == 2 * comb(8, 2) * comb(8, 2) == 1568
+    assert runs["eigenstates"]["layers"]["entanglement.pair_columns"] == sum(
+        2 * comb(L, 2) * L for L in (8, 9, 10, 11)) == 3206
     assert runs["promoted-all"]["layers"]["ensembles.draws"] > 0
