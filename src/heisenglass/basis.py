@@ -107,7 +107,7 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
     steps of 2, with M = m - L/2; the blocks of all of them together
     form an orthogonal matrix.  The caller owns the array and may
     overwrite it: :func:`spectrum.diagonalize` replaces it by the block's
-    eigenvectors.
+    eigenvectors.  The same arguments give the same array, bit for bit.
 
     Sites are coupled one at a time with Clebsch-Gordan coefficients
     (Condon-Shortley phases).  On l sites the patterns with bit l-1
@@ -118,7 +118,10 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
     to couple, a block of spin 2S' can still reach 2S only if
     |2S' - 2S| <= L - l, so each level keeps those blocks alone.  Each
     level is written straight into its sector's array, and two levels are
-    alive at once (:func:`spin_block_words` counts them).  Every column is
+    alive at once, except the last: the two sectors of level L-1 are
+    built into the row ranges of the result, each parent block already in
+    the column range it takes there, and then scaled in place by its
+    factor (:func:`spin_block_words` counts the peak).  Every column is
     an exact eigenvector of the total spin, and the same column index
     labels the same multiplet in every sector of the same L.
     """
@@ -128,17 +131,37 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
         raise ValueError(f"magnon number {magnons} outside 0..{sites}")
     if two_s not in block_spins(sites, magnons):
         raise ValueError(f"no spin block 2S={two_s} in sector ({sites}, {magnons})")
+    if sites == 1:
+        return np.ones((1, 1))  # a lone spin 1/2
     # sectors (l, k) that feed (sites, magnons), each its array and its blocks
     # keyed by 2S (column ranges of the array); (0, 0) is a spin-0 singleton
     one = np.ones((1, 1))
     level = {0: (one, {0: one})}
-    for l in range(1, sites + 1):
+    for l in range(1, sites - 1):
         level = {
             k: _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k,
                             _cone_spins(sites, two_s, l, k))
             for k in range(max(0, magnons - sites + l), min(l, magnons) + 1)
         }
-    return level[magnons][0]
+    # level L-1: sector (L-1, m) (site L-1 down) fills the first rows, (L-1, m-1) the rest;
+    # the parent blocks 2S-1 and 2S+1 take the first and the last columns
+    n_down = comb(sites - 1, magnons)
+    low = multiplets(sites - 1, two_s - 1) if two_s else 0
+    q = np.empty((comb(sites, magnons), multiplets(sites, two_s)))
+    cols = {two_s - 1: slice(0, low), two_s + 1: slice(low, q.shape[1])}
+    m2 = 2 * magnons - sites  # 2M
+    for side, (k, rows) in enumerate(((magnons, slice(0, n_down)), (magnons - 1, slice(n_down, None)))):
+        spins = _cone_spins(sites, two_s, sites - 1, k)
+        if not spins:  # k = -1 or k = L: no such sector, no rows
+            continue
+        # parent 2S+1 is present wherever its columns are; 2S-1 may be absent, and its columns zero
+        lo = cols[spins[0]].start
+        q[rows, :lo] = 0.0
+        _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], sites - 1, k, spins,
+                     q[rows, lo:])
+        for p2 in spins:
+            q[rows, cols[p2]] *= _factors(p2, two_s, m2)[side]
+    return q
 
 
 def block_spins(sites: int, magnons: int) -> range:
@@ -153,13 +176,20 @@ def multiplets(sites: int, two_s: int) -> int:
 
 
 def spin_block_words(sites: int, magnons: int, two_s: int) -> int:
-    """Most float64 words alive at once in :func:`spin_block`: the cone's widest two consecutive levels."""
+    """Most float64 words alive at once in :func:`spin_block`.
+
+    Below level L-1 two consecutive levels of the cone are alive; level
+    L-1 is built into the dim x d result, next to level L-2.
+    """
+    if sites == 1:
+        return 1
     sizes = [
         sum(comb(l, k) * sum(multiplets(l, s2) for s2 in _cone_spins(sites, two_s, l, k))
             for k in range(max(0, magnons - sites + l), min(l, magnons) + 1))
-        for l in range(sites + 1)
+        for l in range(sites - 1)
     ]
-    return max(a + b for a, b in zip(sizes, sizes[1:]))
+    result = comb(sites, magnons) * multiplets(sites, two_s)
+    return max([a + b for a, b in zip(sizes, sizes[1:])] + [sizes[-1] + result])
 
 
 def _cone_spins(sites: int, two_s: int, l: int, k: int) -> range:
@@ -169,12 +199,18 @@ def _cone_spins(sites: int, two_s: int, l: int, k: int) -> range:
 
 
 def _couple_site(
-    down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int, spins: range
+    down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int, spins: range,
+    q: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The ``spins`` (2S) blocks of sector (l, k), from those of (l-1, k) (site l-1 down) and (l-1, k-1) (up)."""
+    """The ``spins`` (2S) blocks of sector (l, k), from those of (l-1, k) (site l-1 down) and (l-1, k-1) (up).
+
+    The blocks fill the columns of ``q`` side by side, 2S ascending; a new
+    array when ``q`` is None.
+    """
     n_down, n_up = comb(l - 1, k), comb(l - 1, k - 1) if k else 0
     m2 = 2 * k - l  # 2M
-    q = np.empty((n_down + n_up, sum(multiplets(l, s2) for s2 in spins)))
+    if q is None:
+        q = np.empty((n_down + n_up, sum(multiplets(l, s2) for s2 in spins)))
     blocks = {}
     col = 0
     for s2 in spins:
@@ -183,11 +219,7 @@ def _couple_site(
             qd, qu = down.get(p2), up.get(p2)
             if qd is None and qu is None:
                 continue
-            plus = sqrt((p2 + m2 + 1) / (2 * p2 + 2))
-            minus = sqrt((p2 - m2 + 1) / (2 * p2 + 2))
-            # S = S' + 1/2: (plus |S', M-1/2> up + minus |S', M+1/2> down)
-            # S = S' - 1/2: (-minus |S', M-1/2> up + plus |S', M+1/2> down)
-            c_down, c_up = (minus, plus) if p2 < s2 else (plus, -minus)
+            c_down, c_up = _factors(p2, s2, m2)
             cols = slice(col, col + (qd if qd is not None else qu).shape[1])
             # a parent block is absent exactly where its factor vanishes (|M'| > S')
             if qd is None:
@@ -201,6 +233,15 @@ def _couple_site(
             col = cols.stop
         blocks[s2] = q[:, start:col]
     return q, blocks
+
+
+def _factors(p2: int, s2: int, m2: int) -> tuple[float, float]:
+    """Clebsch-Gordan factors of parent block 2S' = ``p2`` in block 2S = ``s2`` at 2M = ``m2``: (site down, site up)."""
+    plus = sqrt((p2 + m2 + 1) / (2 * p2 + 2))
+    minus = sqrt((p2 - m2 + 1) / (2 * p2 + 2))
+    # S = S' + 1/2: (plus |S', M-1/2> up + minus |S', M+1/2> down)
+    # S = S' - 1/2: (-minus |S', M-1/2> up + plus |S', M+1/2> down)
+    return (minus, plus) if p2 < s2 else (plus, -minus)
 
 
 def ladder_integer(sites: int, magnons: int, two_s):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -287,6 +288,10 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     return float(np.concatenate(mean)[energy].mean()), float(np.concatenate(positive)[energy].mean())
 
 
+# Jobs in flight per pool worker: one running, one queued behind it.
+JOB_WINDOW = 2
+
+
 def _pool_size(workers: int, n_jobs: int) -> int:
     """Processes that run ``n_jobs`` jobs: at most the jobs and the CPUs."""
     return min(workers, n_jobs, os.cpu_count() or 1)
@@ -296,13 +301,21 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     """Run jobs, preserving submission order independent of completion order.
 
     The pool never exceeds the job count or the CPU count: the executor
-    starts every worker it is given at the first submit.
+    starts every worker it is given at the first submit.  At most
+    ``JOB_WINDOW`` jobs per worker are in flight: the next job is
+    submitted once the oldest result is taken.
     """
     workers = _pool_size(workers, len(jobs))
     if workers <= 1:
         return [fn(j) for j in jobs]
+    results, pending = [], deque()
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=1))
+        for job in jobs:
+            if len(pending) == JOB_WINDOW * workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, job))
+        results.extend(future.result() for future in pending)
+    return results
 
 
 def _write_output(path: Path, header: dict, lines: list[str]) -> None:
@@ -614,7 +627,8 @@ def _check_memory(need: int, what: str) -> None:
 
 
 # Upper estimates of what the main process holds until a run's output is
-# written: per sample, its job tuple, its result and the pool's future; per
+# written: per sample, its job tuple and its result (a pool holds futures for
+# its window of jobs alone, see _map_jobs); per
 # CSV row of at most 128 characters, six per-state array entries and the
 # row's list slot and str (about 190 B measured for an 83-character row);
 # _write_output makes no joined copy of the rows.

@@ -30,26 +30,27 @@ _LIBRARY_BYTES = 16 * 2**20
 def solve_bytes(sites: int, magnons: int) -> int:
     """Upper estimate of the bytes one sample's solve and statistics add above its sparse input.
 
-    :func:`diagonalize` holds one spin block at a time.  For each block,
-    with dim = C(L, m), d its width and p = ``PANEL``, this counts the
-    largest set of arrays alive at once in each phase, in float64 words
-    unless stated:
+    :func:`diagonalize` holds one spin block at a time, and of it at most
+    one dim x d array.  For each block, with dim = C(L, m), d its width
+    and p = ``PANEL``, this counts the largest set of arrays alive at once
+    in each phase, in float64 words unless stated:
 
-    * spin-block build: the two widest consecutive levels of its
-      Clebsch-Gordan cone (:func:`basis.spin_block_words`);
-    * then the block's dim x d array Q_S, alive to the end of the block,
-      next to, one phase after the other: A = Q_S^T (H Q_S), formed p
-      columns at a time, next to scipy's contiguous copy of one strided
-      p-column panel of Q_S, its product with H and the d x p panel of A
-      it gives, d^2 + p (2 dim + d); eigh's A, its copy, a 2 d^2
-      workspace and X; X next to one p-row panel of Q_S and its product
-      Q_S X_S; two dim x p residual panels of H V_S (scipy's panel copy,
-      then V_S w); one p x d panel of the block's Gram; and the ladder
-      pass, a panel copy, its sigma^- image, that image raised and n_S
-      times the panel, p (C(L, m-1) + 3 dim);
+    * spin-block builds: the cone of :func:`basis.spin_block_words`,
+      whose last step fills Q_S; the second build runs next to eigh's X;
+    * Q_S next to A = Q_S^T (H Q_S), formed p columns at a time, scipy's
+      contiguous copy of one strided p-column panel of Q_S, its product
+      with H and the d x p panel of A it gives, d^2 + p (2 dim + d);
+    * eigh, with Q_S released: A, its copy, a 2 d^2 workspace and X;
+    * V_S = Q_S X_S, written into the rebuilt Q_S p rows at a time next
+      to X, one p-row panel and its product;
+    * V_S next to, one check after the other: two dim x p residual
+      panels of H V_S (scipy's panel copy, then V_S w); one p x d panel
+      of the block's Gram; and the ladder pass, a panel copy, its sigma^-
+      image, that image raised and n_S times the panel,
+      p (C(L, m-1) + 3 dim);
     * the caller's statistics: the bytes of
       :func:`entanglement.pair_concurrence_bytes` for at most
-      max(d, p) columns, next to Q_S and the fewer than p columns the
+      max(d, p) columns, next to V_S and the fewer than p columns the
       CLI holds to fill a panel with their copy, 2 p dim words; they
       dominate at small m (the indicators are dim x C(L, 2)).
 
@@ -63,12 +64,11 @@ def solve_bytes(sites: int, magnons: int) -> int:
     for two_s in basis.block_spins(sites, magnons):
         d = basis.multiplets(sites, two_s)
         widest = max(widest, d)
-        phases = max(d * d + p * (2 * dim + d), 5 * d * d, d * d + 2 * p * d, 2 * p * dim, p * d,
-                     p * (lower + 3 * dim))
+        held = max(d * d + p * (2 * dim + d), d * d + 2 * p * d, 2 * p * dim, p * d, p * (lower + 3 * dim))
+        words = max(d * d + d + basis.spin_block_words(sites, magnons, two_s), 5 * d * d, dim * d + held)
         worst = max(
             worst,
-            8 * basis.spin_block_words(sites, magnons, two_s),
-            8 * (dim * d + phases),
+            8 * words,
             8 * dim * (d + 2 * p) + entanglement.pair_concurrence_bytes(sites, magnons, max(d, p)),
         )
     return worst + 8 * (16 * dim + dim * widest) + _LIBRARY_BYTES
@@ -133,14 +133,16 @@ def diagonalize(
     ``sm.matrix`` is a canonical CSR matrix that must commute with the
     total spin, as every sector block of sum_{i<j} J_ij sigma_i . sigma_j
     does.  The spin blocks are streamed, 2S ascending, and only one is
-    alive at a time.  For each, :func:`basis.spin_block` builds Q_S,
-    :func:`_solve_block` reduces it to the d x d matrix Q_S^T H Q_S one
-    column panel at a time and replaces it by its eigenvectors
-    V_S = Q_S X_S in place, the block's checks run on V_S, and
-    ``measure(two_s, V_S)`` gets the checked eigenvectors before they are
-    dropped: the caller takes every per-state statistic there, and may
-    keep V_S, which diagonalize no longer touches.  No dense
-    copy of H, no dim x d product H Q_S and no dim x dim array is made.
+    alive at a time.  For each, :func:`_solve_block` builds Q_S with
+    :func:`basis.spin_block`, reduces it to the d x d matrix Q_S^T H Q_S
+    one column panel at a time, drops Q_S while eigh runs, builds it
+    again and overwrites it by the eigenvectors V_S = Q_S X_S; the
+    block's checks run on V_S, and ``measure(two_s, V_S)`` gets the
+    checked eigenvectors before they are dropped: the caller takes every
+    per-state statistic there, and may keep V_S, which diagonalize no
+    longer touches.  At most one dim x d array is alive at a time; no
+    dense copy of H, no dim x d product H Q_S and no dim x dim array is
+    made.
 
     ``raising`` is sigma^+ into this sector, :func:`basis.promotion_map`
     of ``sm.basis``, built here when not given.  It serves the Casimir
@@ -168,8 +170,7 @@ def diagonalize(
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
     evals, values, two_s = [], [], []
     for s2 in basis.block_spins(b.sites, b.magnons):
-        V = basis.spin_block(b.sites, b.magnons, s2)
-        w, residual = _solve_block(H, V, s2)
+        w, V, residual = _solve_block(H, b.sites, b.magnons, s2)
         worst = float(residual.max(initial=0.0))
         if not worst <= RESIDUAL_RTOL * scale:
             raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F at 2S={s2}")
@@ -204,40 +205,46 @@ def diagonalize(
     )
 
 
-def _solve_block(H: sparse.csr_array, Q: np.ndarray, two_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and residual norms |H V - V w| of one spin block, whose columns Q become V = Q X.
+def _solve_block(H: sparse.csr_array, sites: int, magnons: int, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, eigenvectors V = Q X and residual norms |H V - V w| of spin block 2S = ``two_s``.
 
-    ``Q`` is the block's own C-ordered (dim, d) array.  The d x d matrix
-    A = Q^T H Q is formed ``PANEL`` columns at a time, and only from each
-    panel's diagonal down, A[lo:, panel] = Q[:, lo:]^T (H Q[:, panel]),
-    since LAPACK reads the lower triangle alone.  (OpenBLAS may send a
-    thin last panel to its small-matrix kernel, so A can differ from the
-    full product in the last bits.)  No product wider than one panel is
-    alive (scipy copies one strided panel of Q at a time).  Q X overwrites
-    Q ``PANEL`` rows at a time.  The residuals are then taken from H
-    itself on the returned columns, ``PANEL`` columns at a time.
+    Q is the block's C-ordered (dim, d) array, :func:`basis.spin_block` of
+    sector (``sites``, ``magnons``).  The d x d matrix A = Q^T H Q is
+    formed ``PANEL`` columns at a time, and only from each panel's
+    diagonal down, A[lo:, panel] = Q[:, lo:]^T (H Q[:, panel]), since
+    LAPACK reads the lower triangle alone.  (OpenBLAS may send a thin last
+    panel to its small-matrix kernel, so A can differ from the full
+    product in the last bits.)  No product wider than one panel is alive
+    (scipy copies one strided panel of Q at a time).  Q is dropped before
+    eigh, so eigh runs with no dim x d array alive, and built again, bit
+    for bit the same, next to X; Q X overwrites it ``PANEL`` rows at a
+    time.  The residuals are then taken from H itself on the returned
+    columns, ``PANEL`` columns at a time.
     """
+    Q = basis.spin_block(sites, magnons, two_s)
     dim, width = Q.shape
     A = np.empty((width, width))  # above the diagonal panels, A stays unset
     for lo in range(0, width, PANEL):
         cols = slice(lo, lo + PANEL)
         A[lo:, cols] = Q[:, lo:].T @ (H @ Q[:, cols])
+    del Q  # each del lowers the peak that solve_bytes budgets
     try:
         w, X = np.linalg.eigh(A, UPLO="L")
     except np.linalg.LinAlgError as err:
         raise SpectrumError(f"eigensolver did not converge at 2S={two_s}: {err}") from err
-    del A  # each del lowers the peak that solve_bytes budgets
+    del A
+    V = basis.spin_block(sites, magnons, two_s)
     for lo in range(0, dim, PANEL):
         rows = slice(lo, lo + PANEL)
-        Q[rows] = Q[rows] @ X
+        V[rows] = V[rows] @ X
     del X
     residual = np.empty(width)
     for lo in range(0, width, PANEL):
         cols = slice(lo, lo + PANEL)
-        HV = H @ Q[:, cols]
-        HV -= Q[:, cols] * w[cols]
+        HV = H @ V[:, cols]
+        HV -= V[:, cols] * w[cols]
         residual[cols] = np.linalg.norm(HV, axis=0)
-    return w, residual
+    return w, V, residual
 
 
 def _ladder_pass(raising: sparse.csr_array, V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

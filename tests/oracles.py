@@ -4,7 +4,9 @@ Nothing here shares code with the production kernels: pair
 reduced-density-matrix elements come from masked sums over the
 occupancy columns, pair connectivity from a quadratic scan, coupling
 matrices from one draw per pair, Jacobians from finite differences, the
-promoted concurrence constant from quadrature.  The full-space partial trace and the Wootters concurrence
+promoted concurrence constant from quadrature, spin blocks from a
+level-by-level Clebsch-Gordan build that writes every level to its own
+array.  The full-space partial trace and the Wootters concurrence
 live in :mod:`heisenglass.verify`, which runs them against the kernels
 at every ``heisenglass verify``; the tests import them from there.
 """
@@ -143,3 +145,53 @@ def promoted_concurrence_constant() -> float:
     tail_pp, _ = integrate.dblquad(integrand, 1.0, np.inf, 1.0, np.inf, epsabs=1e-12)
     tail_pm, _ = integrate.dblquad(integrand, 1.0, np.inf, -np.inf, -1.0, epsabs=1e-12)
     return 2.0 * (inner + 2.0 * (tail_pp + tail_pm))
+
+
+def _multiplets(sites: int, two_s: int) -> int:
+    n = (sites - two_s) // 2
+    return math.comb(sites, n) - (math.comb(sites, n - 1) if n else 0)
+
+
+def reference_spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
+    """Spin block 2S of sector (L, m) by the narrow Clebsch-Gordan cone, one new array per level.
+
+    Level l holds sectors (l, k) with the blocks 2S' that can still reach
+    2S, |2S' - 2S| <= L - l; each sector stacks the scaled blocks of
+    (l-1, k) (site l-1 down) and (l-1, k-1) (up), and a parent absent
+    where its factor vanishes gives zeros.  The last level is built like
+    every other, from a level L-1 held in arrays of its own.
+    """
+    def cone(l, k):
+        reach = sites - l
+        return range(max(abs(2 * k - l), two_s - reach), min(l, two_s + reach) + 1, 2)
+
+    def couple(down, up, l, k):
+        n_down, n_up = math.comb(l - 1, k), math.comb(l - 1, k - 1) if k else 0
+        m2 = 2 * k - l
+        spins = cone(l, k)
+        q = np.empty((n_down + n_up, sum(_multiplets(l, s2) for s2 in spins)))
+        blocks, col = {}, 0
+        for s2 in spins:
+            start = col
+            for p2 in (s2 - 1, s2 + 1):
+                qd, qu = down.get(p2), up.get(p2)
+                if qd is None and qu is None:
+                    continue
+                plus = math.sqrt((p2 + m2 + 1) / (2 * p2 + 2))
+                minus = math.sqrt((p2 - m2 + 1) / (2 * p2 + 2))
+                c_down, c_up = (minus, plus) if p2 < s2 else (plus, -minus)
+                cols = slice(col, col + (qd if qd is not None else qu).shape[1])
+                q[:n_down, cols] = 0.0 if qd is None else qd * c_down
+                q[n_down:, cols] = 0.0 if qu is None else qu * c_up
+                col = cols.stop
+            blocks[s2] = q[:, start:col]
+        return q, blocks
+
+    one = np.ones((1, 1))
+    level = {0: (one, {0: one})}
+    for l in range(1, sites + 1):
+        level = {
+            k: couple(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k)
+            for k in range(max(0, magnons - sites + l), min(l, magnons) + 1)
+        }
+    return level[magnons][0]

@@ -189,13 +189,32 @@ def test_total_spin_blocks_decouple_heisenberg_sectors(sector_lm, seed):
     assert np.abs(coupling).max(initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(H))
 
 
+def _widest_block(sites: int, magnons: int) -> int:
+    return max(basis.block_spins(sites, magnons), key=lambda two_s: basis.multiplets(sites, two_s))
+
+
+@pytest.mark.parametrize("sites,magnons,spins", [
+    *((L, m, None) for L in range(1, 13) for m in range(L + 1)),  # every block of every sector
+    *((L, m, [_widest_block(L, m)]) for L, m in ((13, 6), (14, 7), (25, 2), (60, 2))),
+])
+def test_spin_block_matches_the_level_by_level_build(sites, magnons, spins):
+    # the last level built into the result's row ranges and scaled there is the
+    # reference's own level L, bit for bit
+    for two_s in spins or basis.block_spins(sites, magnons):
+        block = basis.spin_block(sites, magnons, two_s)
+        reference = oracles.reference_spin_block(sites, magnons, two_s)
+        assert block.flags.c_contiguous and block.dtype == np.float64 and block.shape == reference.shape
+        assert np.array_equal(block.view(np.uint64), reference.view(np.uint64))
+
+
 @given(spin_sectors)
 @example((13, 6))
 @example((25, 2))
 def test_spin_block_words_count_the_cone(sector_lm):
-    # the two widest consecutive levels of each block's cone: the arrays of
-    # spin_block that tracemalloc sees, up to numpy's ufunc buffers (about
-    # 130 kB when a strided block is scaled into its column range) and the dicts
+    # two consecutive levels of each block's cone, or the result next to level
+    # L-2: the arrays of spin_block that tracemalloc sees, up to numpy's ufunc
+    # buffers (about 130 kB when a strided block is scaled into its column range)
+    # and the dicts
     sites, magnons = sector_lm
     for two_s in basis.block_spins(sites, magnons):
         tracemalloc.start()

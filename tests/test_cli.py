@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -319,7 +320,7 @@ print(status_kib("VmHWM") - before)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("sites,magnons,workers,counts", [
     (10, 5, 1, (20, 120)),  # 252 rows a sample: the rows dominate
-    (2, 1, 2, (200, 2200)),  # 2 rows a sample, and a pool future each: the samples dominate
+    (2, 1, 2, (200, 2200)),  # 2 rows a sample on a pool: the samples dominate
 ])
 def test_held_results_stay_within_their_budget(sites, magnons, workers, counts):
     # peak resident set of the main process at two sample counts: both the
@@ -697,22 +698,36 @@ def test_promoted_columns_off_the_last_block_exit_one(tmp_path, capsys, monkeypa
     assert not (tmp_path / "scaling_eigenstates.csv").exists()
 
 
-class _InlinePool:
-    """Stand-in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+class _InlinePool(concurrent.futures.Executor):
+    """Stand-in for ProcessPoolExecutor: records its size and the most jobs in flight, runs jobs in-process.
+
+    A job is in flight from its submit until its result is taken.
+    """
 
     sizes: list[int] = []
+    most_in_flight = 0
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.in_flight = 0
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        _InlinePool.most_in_flight = max(_InlinePool.most_in_flight, self.in_flight)
+        return _Taken(self, fn(*args))
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
+class _Taken(concurrent.futures.Future):
+    """A finished future that tells its pool when its result is taken."""
+
+    def __init__(self, pool: _InlinePool, value):
+        super().__init__()
+        self.pool = pool
+        self.set_result(value)
+
+    def result(self, timeout=None):
+        self.pool.in_flight -= 1
+        return super().result(timeout)
 
 
 @pytest.mark.parametrize(
@@ -732,6 +747,16 @@ def test_map_jobs_clamps_pool_size(monkeypatch, requested, n_jobs, cpus, pool_si
     jobs = [(k,) for k in range(n_jobs)]
     assert cli._map_jobs(lambda job: job[0] * 2, jobs, requested) == [2 * k for k in range(n_jobs)]
     assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_map_jobs_keeps_two_jobs_a_worker_in_flight(monkeypatch):
+    # the pool's futures are the main process's only per-job cost beyond the results
+    monkeypatch.setattr(_InlinePool, "most_in_flight", 0)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    jobs = [(k,) for k in range(100)]
+    assert cli._map_jobs(lambda job: job[0] * 2, jobs, 3) == [2 * k for k in range(100)]
+    assert _InlinePool.most_in_flight == 2 * 3
 
 
 def test_huge_worker_request_runs_on_a_clamped_pool(tmp_path, monkeypatch):

@@ -155,19 +155,46 @@ def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
     assert residual.max() <= 1e-10 * np.linalg.norm(H)
 
 
-def test_block_solve_allocates_less_than_one_dim_by_d_array():
+def test_block_solve_allocates_less_than_one_dim_by_d_array(monkeypatch):
     # the widest spin block of IR L=13, m=6 (d = 572 of dim 1716): A = Q^T H Q is
-    # formed one column panel at a time, so no dim x d product H Q is ever alive
+    # formed one column panel at a time, so no dim x d product H Q is ever alive;
+    # both builds of Q are made before tracing, so the solve's own arrays are measured
     _, sm = _sector(0.0, 13, 6, 0)
-    Q = basis.spin_block(13, 6, 3)
+    built = [basis.spin_block(13, 6, 3) for _ in range(2)]
+    Q = built[0]
     assert Q.shape == (sm.dim, 572) == (sm.dim, max(basis.multiplets(13, s2) for s2 in basis.block_spins(13, 6)))
+    monkeypatch.setattr(spectrum.basis, "spin_block", lambda sites, magnons, two_s: built.pop())
     tracemalloc.start()
     try:
-        spectrum._solve_block(sm.matrix, Q, 3)
+        spectrum._solve_block(sm.matrix, 13, 6, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert not built
     assert peak < 8 * sm.dim * Q.shape[1]
+
+
+def test_eigh_runs_with_no_dim_by_d_array_alive(monkeypatch):
+    # Q_S is dropped once A is formed and built again after eigh, so at every
+    # eigh call of an IR L=13, m=6 solve the traced memory (A and what
+    # diagonalize keeps) stays below one dim x d array of the widest block
+    _, sm = _sector(0.0, 13, 6, 0)
+    raising = ladder.promotion_map(sm.basis)
+    eigh = np.linalg.eigh
+    current = []
+
+    def recorded(a, UPLO="L"):
+        current.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    tracemalloc.start()
+    try:
+        spectrum.diagonalize(sm, raising)
+    finally:
+        tracemalloc.stop()
+    assert len(current) == len(basis.block_spins(13, 6))
+    assert max(current) < 8 * 1716 * 572
 
 
 def test_lower_triangle_formation_matches_the_full_product():
@@ -186,9 +213,9 @@ def test_lower_triangle_formation_matches_the_full_product():
             full[:, p:p + spectrum.PANEL] = Q.T @ (H @ Q[:, p:p + spectrum.PANEL])
         w_full, X_full = np.linalg.eigh(full)
         V_full = Q @ X_full
-        w, _ = spectrum._solve_block(H, Q, two_s)
+        w, V, _ = spectrum._solve_block(H, 12, 6, two_s)
         assert np.abs(w - w_full).max() <= 1e-13 * scale
-        overlap = np.abs(np.sum(Q * V_full, axis=0))  # |<v, v_full>| per eigenpair, up to sign
+        overlap = np.abs(np.sum(V * V_full, axis=0))  # |<v, v_full>| per eigenpair, up to sign
         simple = np.diff(w_full, prepend=-np.inf, append=np.inf)
         simple = np.minimum(simple[:-1], simple[1:]) > 1e-6 * scale
         assert np.abs(overlap[simple] - 1.0).max() <= 1e-9
@@ -204,12 +231,12 @@ def _rewrite_first_column(monkeypatch, into: int, rewrite) -> list:
     solve = spectrum._solve_block
     gram = []
 
-    def rewritten(H, Q, two_s):
-        out = solve(H, Q, two_s)
+    def rewritten(H, sites, magnons, two_s):
+        w, V, residual = solve(H, sites, magnons, two_s)
         if two_s == into:
-            Q[:, 0] = rewrite(Q[:, 0])
-            gram.append(spectrum.orthonormality_deviation(Q))
-        return out
+            V[:, 0] = rewrite(V[:, 0])
+            gram.append(spectrum.orthonormality_deviation(V))
+        return w, V, residual
 
     monkeypatch.setattr(spectrum, "_solve_block", rewritten)
     return gram
@@ -390,9 +417,9 @@ def test_sample_peak_stays_within_budget(sites, magnons):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the resident set from /proc")
 @pytest.mark.parametrize("args,limit", [
-    ((13, 6, "sample"), 1.4),  # one spin block at a time, no (dim, dim) array: the widest block
-    ((14, 7, "sample"), 1.2),  # and its cone or eigh's d x d arrays set the peak
-    ((60, 2), 6.5),  # one block of nearly dim columns: eigh's own d x d arrays set the peak
+    ((13, 6, "sample"), 1.0),  # one spin block at a time, no (dim, dim) array, and at most one
+    ((14, 7, "sample"), 0.8),  # dim x d array of it: its cone next to X, or eigh's d x d arrays
+    ((60, 2), 5.3),  # one block of nearly dim columns: eigh's own d x d arrays set the peak
     ((150, 1, "sample"), 200.0),  # the C(L, 2) x L concurrences and one gathered row set of that size
 ])
 def test_peak_growth_in_dense_matrices(args, limit):
