@@ -1,15 +1,15 @@
 """One fixed BLAS thread count for every run of the package.
 
-Every eigenstate sample is dense algebra on its (dim, dim) eigenvector
-array, and OpenBLAS sums in another order at another thread count, so the
-count is part of what fixes the output bytes.  The package sets it once
-at import, to the constant ``THREADS``, never to the host's core count:
-``cli.main``, library callers and worker processes (forked ones inherit
-the setting, spawned ones import the package) then all compute with it,
-whatever ``OPENBLAS_NUM_THREADS`` says.  One thread is also the cheaper
-count here: a second OpenBLAS thread spins through the single-threaded
-stages between BLAS calls, and with several worker processes it
-oversubscribes the cores.  Use ``--workers`` for throughput.
+Every eigenstate sample is dense algebra on its spin blocks' (dim, d)
+eigenvector arrays, and OpenBLAS sums in another order at another thread
+count, so the count is part of what fixes the output bytes.  The package
+sets it once at import, to the constant ``THREADS``, never to the host's
+core count: ``cli.main``, library callers and worker processes (forked
+ones inherit the setting, spawned ones import the package) then all
+compute with it, whatever ``OPENBLAS_NUM_THREADS`` says.  One thread is
+also the cheaper count here: a second OpenBLAS thread spins through the
+single-threaded stages between BLAS calls, and with several worker
+processes it oversubscribes the cores.  Use ``--workers`` for throughput.
 """
 
 from __future__ import annotations

@@ -151,10 +151,10 @@ def _classified_sample(
 class StateArrays(NamedTuple):
     """Per-eigenstate columns of one disorder realization, ascending in energy.
 
-    Each statistic is computed on the eigenvectors as
-    :func:`spectrum.diagonalize` hands them over in spin-block order, in
-    the column panels of that order (:class:`_Panels`), and put into
-    energy order by the one permutation ``Spectrum.order``.
+    Each statistic is computed on one spin block's eigenvectors as
+    :func:`spectrum.diagonalize` hands them over, so a state's values
+    depend on its block alone, and put into energy order by the one
+    permutation ``Spectrum.order``.
     ``promoted`` holds the ladder labels and ``degenerate`` is 1 for
     states in a degeneracy group, 0 otherwise.
     """
@@ -165,46 +165,6 @@ class StateArrays(NamedTuple):
     participation: np.ndarray
     promoted: np.ndarray
     degenerate: np.ndarray
-
-
-class _Panels:
-    """Hands eigenvectors to ``measure(vectors)`` in whole ``PANEL``-column panels of their arrival order.
-
-    Blocks of eigenvectors arrive one at a time, and each call of the pair
-    kernel walks every pair once per panel, whatever the panel's width.
-    So the columns are handed over as if the blocks stood side by side
-    and were cut into panels of ``PANEL``: a block's whole panels as one
-    view, the columns before them with the held ones as one filled panel,
-    and the columns after them held until the next block fills their
-    panel.  :meth:`flush` hands over the last, partial panel.  Fewer than
-    ``PANEL`` columns are held, as copies or whole thin blocks, and one
-    more panel is copied to hand them over.
-    """
-
-    def __init__(self, measure: Callable[[np.ndarray], None]):
-        self.measure = measure
-        self.held: list[np.ndarray] = []
-        self.width = 0
-
-    def add(self, vectors: np.ndarray) -> None:
-        n = vectors.shape[1]
-        head = min(n, -self.width % entanglement.PANEL)  # columns that go with the held ones
-        if head:
-            self.held.append(vectors[:, :head])
-            self.width += head
-            if self.width == entanglement.PANEL:
-                self.flush()
-        body = head + (n - head) // entanglement.PANEL * entanglement.PANEL
-        if body > head:
-            self.measure(vectors[:, head:body])
-        if body < n:  # a copy: no view keeps the block alive
-            self.held.append(vectors[:, body:].copy())
-            self.width += n - body
-
-    def flush(self) -> None:
-        if self.held:
-            self.measure(np.hstack(self.held))
-            self.held, self.width = [], 0
 
 
 def eigenstate_sample(
@@ -218,13 +178,11 @@ def eigenstate_sample(
     upper = basis.build_basis(sites, magnons)
     concurrence, participation = [], []
 
-    def measure(vectors: np.ndarray) -> None:
+    def measure(two_s: int, vectors: np.ndarray) -> None:
         concurrence.append(entanglement.pair_concurrences(upper, vectors).mean(axis=0))
         participation.append(entanglement.participation_ratio(vectors))
 
-    panels = _Panels(measure)
-    cm, spec, cls = _classified_sample(upper, sigma, master_seed, index, lambda two_s, vectors: panels.add(vectors))
-    panels.flush()
+    cm, spec, cls = _classified_sample(upper, sigma, master_seed, index, measure)
     order = spec.order
     eigenvalue = spec.eigenvalues[order]
     return StateArrays(
@@ -259,26 +217,22 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
     ascend in 2S and only the lowest one, 2S = L - 2m when 2m <= L, holds
     new states, so its pair concurrences are never taken, and the
     promoted states are the last ``n_promoted`` columns in spin-block
-    order.  Raises InvariantError unless the labels agree.  The per-state
-    values are averaged in energy order.
+    order.  Each promoted block's statistics are taken on that block
+    alone, as :func:`spectrum.diagonalize` hands it over.  Raises
+    InvariantError unless the labels agree.  The per-state values are
+    averaged in energy order.
     """
     sigma, sites, magnons, seed, index = args
     upper = basis.build_basis(sites, magnons)
     mean, positive = [], []
 
-    def measure(vectors: np.ndarray) -> None:
-        pc = entanglement.pair_concurrences(upper, vectors)
-        mean.append(pc.mean(axis=0))
-        positive.append((pc > 0.0).mean(axis=0))
-
-    panels = _Panels(measure)
-
     def promoted(two_s: int, vectors: np.ndarray) -> None:
         if two_s > sites - 2 * magnons:
-            panels.add(vectors)
+            pc = entanglement.pair_concurrences(upper, vectors)
+            mean.append(pc.mean(axis=0))
+            positive.append((pc > 0.0).mean(axis=0))
 
     _, spec, cls = _classified_sample(upper, sigma, seed, index, promoted)
-    panels.flush()
     first = spec.dim - cls.n_promoted
     if not np.all(cls.labels[first:] == ladder.PROMOTED):
         raise InvariantError(

@@ -48,11 +48,10 @@ def solve_bytes(sites: int, magnons: int) -> int:
       of the block's Gram; and the ladder pass, a panel copy, its sigma^-
       image, that image raised and n_S times the panel,
       p (C(L, m-1) + 3 dim);
-    * the caller's statistics: the bytes of
-      :func:`entanglement.pair_concurrence_bytes` for at most
-      max(d, p) columns, next to V_S and the fewer than p columns the
-      CLI holds to fill a panel with their copy, 2 p dim words; they
-      dominate at small m (the indicators are dim x C(L, 2)).
+    * the caller's statistics, taken on the block alone: the bytes of
+      :func:`entanglement.pair_concurrence_bytes` for its d columns,
+      next to V_S; they dominate at small m (the indicators are
+      dim x C(L, 2)).
 
     On top of the worst block: 16 dim words of per-state results, one
     more dim x d_max for freed blocks the allocator keeps, and a fixed
@@ -69,7 +68,7 @@ def solve_bytes(sites: int, magnons: int) -> int:
         worst = max(
             worst,
             8 * words,
-            8 * dim * (d + 2 * p) + entanglement.pair_concurrence_bytes(sites, magnons, max(d, p)),
+            8 * dim * d + entanglement.pair_concurrence_bytes(sites, magnons, d),
         )
     return worst + 8 * (16 * dim + dim * widest) + _LIBRARY_BYTES
 

@@ -596,24 +596,30 @@ def test_eigenstate_sample_matches_job_wrapper():
     assert int(direct.promoted.sum()) == 8
 
 
-@pytest.mark.parametrize("widths", [(275, 24, 1), (429, 572, 429, 208, 65, 12, 1), (3, 128, 5), (256,)])
-def test_panels_hand_over_the_column_panels_of_the_blocks_side_by_side(widths):
-    # the pair kernel walks every pair once per column panel, so the blocks of one
-    # sample reach it in the 128-column panels of their concatenation, no more
-    rng = np.random.Generator(np.random.Philox(3))
-    blocks = [rng.standard_normal((7, w)) for w in widths]
-    handed = []
-    panels = cli._Panels(handed.append)
-    for block in blocks:
-        panels.add(block)
-        assert not any(np.shares_memory(block, held) for held in panels.held if held.shape[1] < block.shape[1])
-        assert panels.width == sum(h.shape[1] for h in panels.held) < entanglement.PANEL
-    panels.flush()
-    assert np.array_equal(np.hstack(handed), np.hstack(blocks))
-    edges = np.cumsum([0] + [h.shape[1] for h in handed])
-    assert np.all(edges[1:-1] % entanglement.PANEL == 0)
-    panel_count = sum(-(-h.shape[1] // entanglement.PANEL) for h in handed)
-    assert panel_count == -(-sum(widths) // entanglement.PANEL)
+@pytest.mark.parametrize("sigma,sites,magnons", [(math.inf, 12, 4), (0.0, 13, 6)])
+def test_block_statistics_come_from_that_block_alone(monkeypatch, sigma, sites, magnons):
+    # each spin block reaches the statistics on its own, so a state's values are
+    # those of its block taken alone, whatever the blocks beside it
+    blocks, spectra = [], []
+    diagonalize = spectrum.diagonalize
+
+    def recording(sm, raising=None, measure=None):
+        def hook(two_s, vectors):
+            blocks.append(vectors.copy())
+            measure(two_s, vectors)
+
+        spectra.append(diagonalize(sm, raising, hook))
+        return spectra[-1]
+
+    monkeypatch.setattr(spectrum, "diagonalize", recording)
+    arrays = cli.eigenstate_sample(sigma, sites, magnons, 0, 0)
+    upper = basis.build_basis(sites, magnons)
+    order = spectra[0].order
+    assert sum(block.shape[1] for block in blocks) == order.size
+    concurrence = np.concatenate([entanglement.pair_concurrences(upper, block).mean(axis=0) for block in blocks])
+    participation = np.concatenate([entanglement.participation_ratio(block) for block in blocks])
+    assert np.array_equal(arrays.avg_concurrence, concurrence[order])
+    assert np.array_equal(arrays.participation, participation[order])
 
 
 def test_promoted_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
