@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -246,9 +247,14 @@ def _promoted_summary_job(args: tuple) -> tuple[float, float]:
 JOB_WINDOW = 2
 
 
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the OS has one, else the machine's count (None if unknown)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _pool_size(workers: int, n_jobs: int) -> int:
-    """Processes that run ``n_jobs`` jobs: at most the jobs and the CPUs."""
-    return min(workers, n_jobs, os.cpu_count() or 1)
+    """Processes that run ``n_jobs`` jobs: at most the jobs and the CPUs this process may use."""
+    return min(workers, n_jobs, _usable_cpus() or 1)
 
 
 def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
@@ -498,6 +504,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_unread_options(cfg)
     if cfg.model == "pl" and cfg.sigma is None:
         raise ConfigError("--model pl requires --sigma")
+    _check_out(cfg.out)
 
     if cfg.command in ("spectrum-report", "phase-diagram"):
         if len(cfg.sites) != 1:
@@ -530,6 +537,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("-L values must be distinct")
         if sum(1 for s in cfg.sites if s >= fitting.DEFAULT_MIN_SITES) < 4:
             raise ConfigError("scaling fits need at least four L values >= 8")
+
+
+def _check_out(out: Path) -> None:
+    """Reject an ``--out`` that the output could not be written under, before any sample runs.
+
+    A directory is made and removed again in ``out``, or in its nearest
+    existing ancestor: this fails when ``out`` or that ancestor is not a
+    directory, or takes no new entry.  (An access check alone would pass
+    root under a directory such as /proc, which refuses every new entry.)
+    """
+    try:
+        tempfile.TemporaryDirectory(dir=next(p for p in (out, *out.parents) if p.exists())).cleanup()
+    except OSError as err:
+        raise ConfigError(f"--out {out} is not writable: {err.strerror} ({err.filename})") from None
 
 
 def _check_unread_options(cfg: ExperimentConfig) -> None:

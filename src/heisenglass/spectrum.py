@@ -43,11 +43,12 @@ def solve_bytes(sites: int, magnons: int) -> int:
     * eigh, with Q_S released: A, its copy, a 2 d^2 workspace and X;
     * V_S = Q_S X_S, written into the rebuilt Q_S p rows at a time next
       to X, one p-row panel and its product;
-    * V_S next to, one check after the other: two dim x p residual
-      panels of H V_S (scipy's panel copy, then V_S w); one p x d panel
-      of the block's Gram; and the ladder pass, a panel copy, its sigma^-
-      image, that image raised and n_S times the panel,
-      p (C(L, m-1) + 3 dim);
+    * V_S next to the one check pass of :func:`_check_block`: one
+      contiguous copy of a p-column panel, held while it feeds first the
+      residual H panel - panel w (two more dim x p) and, next to it, a
+      p x d row panel of the block's Gram, then the ladder step, the
+      panel's sigma^- image, that image raised and n_S times the panel;
+      the ladder step is the largest, p (C(L, m-1) + 3 dim);
     * the caller's statistics, taken on the block alone: the bytes of
       :func:`entanglement.pair_concurrence_bytes` for its d columns,
       next to V_S; they dominate at small m (the indicators are
@@ -63,7 +64,7 @@ def solve_bytes(sites: int, magnons: int) -> int:
     for two_s in basis.block_spins(sites, magnons):
         d = basis.multiplets(sites, two_s)
         widest = max(widest, d)
-        held = max(d * d + p * (2 * dim + d), d * d + 2 * p * d, 2 * p * dim, p * d, p * (lower + 3 * dim))
+        held = max(d * d + p * (2 * dim + d), d * d + 2 * p * d, p * (lower + 3 * dim))
         words = max(d * d + d + basis.spin_block_words(sites, magnons, two_s), 5 * d * d, dim * d + held)
         worst = max(
             worst,
@@ -108,11 +109,8 @@ class Spectrum:
 
     def degenerate_mask(self) -> np.ndarray:
         """Is state ``order[k]`` in a group of more than one eigenvalue?"""
-        mask = np.zeros(self.dim, dtype=bool)
-        for a, b in self.groups:
-            if b - a > 1:
-                mask[a:b] = True
-        return mask
+        sizes = [b - a for a, b in self.groups]  # the groups tile 0 .. dim
+        return np.repeat(np.greater(sizes, 1), sizes)
 
 
 def group_degeneracies(eigenvalues: np.ndarray, degtol: float) -> list[tuple[int, int]]:
@@ -135,9 +133,12 @@ def diagonalize(
     alive at a time.  For each, :func:`_solve_block` builds Q_S with
     :func:`basis.spin_block`, reduces it to the d x d matrix Q_S^T H Q_S
     one column panel at a time, drops Q_S while eigh runs, builds it
-    again and overwrites it by the eigenvectors V_S = Q_S X_S; the
-    block's checks run on V_S, and ``measure(two_s, V_S)`` gets the
-    checked eigenvectors before they are dropped: the caller takes every
+    again and overwrites it by the eigenvectors V_S = Q_S X_S.
+    :func:`_check_block` then checks V_S in one pass, ``PANEL`` columns
+    at a time: each panel is copied once and that copy feeds the eigenpair
+    residuals, the block's Gram rows and the Casimir residuals.  So
+    ``measure(two_s, V_S)`` gets exactly the eigenvectors all three
+    checks read, before they are dropped: the caller takes every
     per-state statistic there, and may keep V_S, which diagonalize no
     longer touches.  At most one dim x d array is alive at a time; no
     dense copy of H, no dim x d product H Q_S and no dim x dim array is
@@ -156,10 +157,12 @@ def diagonalize(
     Raises SpectrumError for a non-finite stored entry, an eigenpair
     residual above ``RESIDUAL_RTOL`` * ||H||_F (which is what a matrix
     without SU(2) symmetry, or an asymmetric one, produces), a block whose
-    eigenvectors are not orthonormal (:func:`orthonormality_deviation`
-    above 1e-10), a Casimir residual above ``CASIMIR_TOL``, or an
-    eigenvalue sum that disagrees with the trace, instead of returning a
-    silently bad decomposition.  A block that fails is not measured.
+    eigenvectors are not orthonormal (max |V_S^T V_S - I| above 1e-10), a
+    Casimir residual above ``CASIMIR_TOL``, or an eigenvalue sum that
+    disagrees with the trace, instead of returning a silently bad
+    decomposition.  A block's three checks are reported in that order: a
+    fault that several of them see is named as a residual first.  A block
+    that fails is not measured.
     """
     H, b = sm.matrix, sm.basis
     if not np.isfinite(H.data).all():
@@ -169,17 +172,14 @@ def diagonalize(
     scale = max(1.0, float(np.linalg.norm(H.data)))  # ||H||_F: H is canonical, no duplicates
     evals, values, two_s = [], [], []
     for s2 in basis.block_spins(b.sites, b.magnons):
-        w, V, residual = _solve_block(H, b.sites, b.magnons, s2)
-        worst = float(residual.max(initial=0.0))
-        if not worst <= RESIDUAL_RTOL * scale:
-            raise SpectrumError(f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F at 2S={s2}")
-        ortho = orthonormality_deviation(V)
-        if not ortho <= 1e-10:
-            raise SpectrumError(f"eigenvectors not orthonormal at 2S={s2}, deviation {ortho:.3e}")
-        value, casimir = _ladder_pass(raising, V, basis.ladder_integer(b.sites, b.magnons, s2))
-        worst = float(casimir.max(initial=0.0))
-        if not worst <= CASIMIR_TOL:
-            raise SpectrumError(f"Casimir residual {worst:.3e} at 2S={s2} exceeds {CASIMIR_TOL:.1e}")
+        w, V = _solve_block(H, b.sites, b.magnons, s2)
+        residual, gram, casimir, value = _check_block(H, raising, basis.ladder_integer(b.sites, b.magnons, s2), w, V)
+        if not residual <= RESIDUAL_RTOL * scale:
+            raise SpectrumError(f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||H||_F at 2S={s2}")
+        if not gram <= 1e-10:
+            raise SpectrumError(f"eigenvectors not orthonormal at 2S={s2}, deviation {gram:.3e}")
+        if not casimir <= CASIMIR_TOL:
+            raise SpectrumError(f"Casimir residual {casimir:.3e} at 2S={s2} exceeds {CASIMIR_TOL:.1e}")
         if measure is not None:
             measure(s2, V)
         del V  # the next block is built without this one alive
@@ -204,8 +204,8 @@ def diagonalize(
     )
 
 
-def _solve_block(H: sparse.csr_array, sites: int, magnons: int, two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, eigenvectors V = Q X and residual norms |H V - V w| of spin block 2S = ``two_s``.
+def _solve_block(H: sparse.csr_array, sites: int, magnons: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors V = Q X of spin block 2S = ``two_s``, unchecked.
 
     Q is the block's C-ordered (dim, d) array, :func:`basis.spin_block` of
     sector (``sites``, ``magnons``).  The d x d matrix A = Q^T H Q is
@@ -217,8 +217,7 @@ def _solve_block(H: sparse.csr_array, sites: int, magnons: int, two_s: int) -> t
     (scipy copies one strided panel of Q at a time).  Q is dropped before
     eigh, so eigh runs with no dim x d array alive, and built again, bit
     for bit the same, next to X; Q X overwrites it ``PANEL`` rows at a
-    time.  The residuals are then taken from H itself on the returned
-    columns, ``PANEL`` columns at a time.
+    time.  :func:`_check_block` then checks the returned pairs.
     """
     Q = basis.spin_block(sites, magnons, two_s)
     dim, width = Q.shape
@@ -236,49 +235,47 @@ def _solve_block(H: sparse.csr_array, sites: int, magnons: int, two_s: int) -> t
     for lo in range(0, dim, PANEL):
         rows = slice(lo, lo + PANEL)
         V[rows] = V[rows] @ X
-    del X
-    residual = np.empty(width)
-    for lo in range(0, width, PANEL):
-        cols = slice(lo, lo + PANEL)
-        HV = H @ V[:, cols]
-        HV -= V[:, cols] * w[cols]
-        residual[cols] = np.linalg.norm(HV, axis=0)
-    return w, V, residual
+    return w, V
 
 
-def _ladder_pass(raising: sparse.csr_array, V: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|sigma^- v|^2 and the Casimir residual |sigma^+ sigma^- v - n v| of each column v of ``V``.
+def _check_block(H: sparse.csr_array, raising: sparse.csr_array, n: int, w: np.ndarray,
+                 V: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """Worst eigenpair residual, Gram deviation and Casimir residual of ``V``, and each column's |sigma^- v|^2.
 
-    One sigma^- product per ``PANEL`` columns serves both: sigma^- is
-    ``raising.T`` and sigma^+ is ``raising``.
+    One pass over ``V``, ``PANEL`` columns at a time; one contiguous copy
+    of each panel feeds all three checks:
+
+    * |H v - w v| of each column;
+    * the Gram rows lo .. hi, panel^T V[:, :hi], formed only up to their
+      own diagonal block: the Gram is symmetric, so the panels together
+      cover one triangle and the diagonal, and max |V^T V - I| is taken
+      over them;
+    * sigma^- of each column, ``raising.T`` @ panel, whose squared norm is
+      the ladder value, raised again by ``raising`` into the Casimir
+      residual |sigma^+ sigma^- v - n v|.
+
+    A NaN anywhere comes out as a NaN worst value.
     """
     width = V.shape[1]
-    values, residual = np.empty(width), np.empty(width)
+    values = np.empty(width)
+    residual = gram = casimir = np.float64(0.0)
     for lo in range(0, width, PANEL):
-        cols = slice(lo, lo + PANEL)
-        lowered = raising.T @ V[:, cols]
-        values[cols] = np.einsum("ij,ij->j", lowered, lowered)
+        hi = min(lo + PANEL, width)
+        panel = V[:, lo:hi].copy()
+        HV = H @ panel
+        HV -= panel * w[lo:hi]
+        residual = np.maximum(residual, np.linalg.norm(HV, axis=0).max())
+        G = panel.T @ V[:, :hi]
+        G[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        gram = np.maximum(gram, np.abs(G, out=G).max())
+        del HV, G  # the dels leave the ladder step as the peak that solve_bytes budgets
+        lowered = raising.T @ panel
+        values[lo:hi] = np.einsum("ij,ij->j", lowered, lowered)
         raised = raising @ lowered
-        raised -= n * V[:, cols]
-        residual[cols] = np.linalg.norm(raised, axis=0)
-    return values, residual
-
-
-def orthonormality_deviation(vectors: np.ndarray) -> float:
-    """max |V^T V - I| over the columns of ``vectors``, from ``PANEL`` rows of the Gram at a time.
-
-    The Gram is symmetric, so each panel of rows lo .. hi is formed only up
-    to its own diagonal block, G[lo:hi, :hi]: together the panels cover one
-    triangle and the diagonal, with at most PANEL x n words alive.
-    """
-    n = vectors.shape[1]
-    worst = np.float64(0.0)
-    for lo in range(0, n, PANEL):
-        hi = min(lo + PANEL, n)
-        gram = vectors[:, lo:hi].T @ vectors[:, :hi]
-        gram[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
-        worst = np.maximum(worst, np.abs(gram, out=gram).max())  # NaN propagates
-    return float(worst)
+        raised -= n * panel
+        casimir = np.maximum(casimir, np.linalg.norm(raised, axis=0).max())
+        del lowered, raised
+    return float(residual), float(gram), float(casimir), values
 
 
 def contains_spectrum(outer: np.ndarray, inner: np.ndarray, tol: float) -> bool:

@@ -223,7 +223,7 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
     per_worker = spectrum.solve_bytes(13, 6)
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (3 * per_worker // 2) // 4096}
     monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     report = ["spectrum-report", "-L", "13", "-m", "6", "--out", str(tmp_path / "out")]
     cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=3))
     cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=1, workers=3))
@@ -236,7 +236,7 @@ def test_sector_over_memory_budget_exits_two(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 2
         assert "physical memory" in capsys.readouterr().err
     # one CPU clamps the pool to one worker, which fits
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     cli.validate_config(ExperimentConfig(command="spectrum-report", sites=(13,), magnons=6, samples=2, workers=2))
     assert not (tmp_path / "out").exists()
     # the half-filled L=16 sector (dim 12870) fits one worker in 7.8 GiB; eight dense
@@ -256,7 +256,7 @@ def test_half_filled_l16_report_fits_two_workers_in_7_83_gib(tmp_path, monkeypat
     monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS", (str(tmp_path / "absent"),))
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": int(7.83 * 2**30) // 4096}
     monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = ["spectrum-report", "-L", "16", "-m", "8", "--samples", "2", "--workers", "2",
             "--out", str(tmp_path / "out")]
     cfg = cli.config_from_args(cli.build_parser().parse_args(argv))  # validates
@@ -480,7 +480,7 @@ def test_sector_budget_honours_cgroup_limit(tmp_path, monkeypatch, capsys, files
     monkeypatch.setattr(cli, "CGROUP_MEMORY_LIMITS",
                         (str(tmp_path / "memory.max"), str(tmp_path / "memory.limit_in_bytes")))
     monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)  # 8 GiB
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     argv = ["spectrum-report", "-L", "14", "-m", "7", "--samples", "4", "--workers", "4",
             "--out", str(tmp_path / "out")]
     if limited:
@@ -622,6 +622,22 @@ def test_block_statistics_come_from_that_block_alone(monkeypatch, sigma, sites, 
     assert np.array_equal(arrays.participation, participation[order])
 
 
+def test_unusable_out_exits_two_before_any_sample(tmp_path, capsys, monkeypatch):
+    # an existing file, and a missing directory under one, could not take the
+    # output; the run stops at validation instead of after its last sample
+    def no_sample(*args):
+        raise AssertionError("validation must reject --out before any sample runs")
+
+    monkeypatch.setattr(cli, "eigenstate_sample", no_sample)
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    for out in (existing, existing / "missing"):
+        assert cli.main(["spectrum-report", "-L", "8", "-m", "2", "--out", str(out)]) == 2
+        assert f"--out {out} is not writable: Not a directory ({existing}/tmp" in capsys.readouterr().err
+    assert existing.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # the probe leaves nothing behind
+
+
 def test_promoted_count_mismatch_exits_one(tmp_path, capsys, monkeypatch):
     # a threshold above every ladder value labels all 28 states new
     monkeypatch.setattr(ladder, "LADDER_TOL", 1e9)
@@ -749,17 +765,24 @@ class _Taken(concurrent.futures.Future):
 def test_map_jobs_clamps_pool_size(monkeypatch, requested, n_jobs, cpus, pool_size):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     jobs = [(k,) for k in range(n_jobs)]
     assert cli._map_jobs(lambda job: job[0] * 2, jobs, requested) == [2 * k for k in range(n_jobs)]
     assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_pool_size_counts_the_cpus_of_the_affinity_set(monkeypatch):
+    # pinned to one of eight CPUs (taskset -c 0), a run budgets and starts one worker
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._pool_size(4, 8) == 1
 
 
 def test_map_jobs_keeps_two_jobs_a_worker_in_flight(monkeypatch):
     # the pool's futures are the main process's only per-job cost beyond the results
     monkeypatch.setattr(_InlinePool, "most_in_flight", 0)
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     jobs = [(k,) for k in range(100)]
     assert cli._map_jobs(lambda job: job[0] * 2, jobs, 3) == [2 * k for k in range(100)]
     assert _InlinePool.most_in_flight == 2 * 3
@@ -768,7 +791,7 @@ def test_map_jobs_keeps_two_jobs_a_worker_in_flight(monkeypatch):
 def test_huge_worker_request_runs_on_a_clamped_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     args = ["spectrum-report", "-L", "6", "-m", "2", "--samples", "3", "--seed", "4"]
     assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "pooled"), "--workers", "100000"]) == 0

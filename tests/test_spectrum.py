@@ -97,7 +97,11 @@ def test_panelled_orthonormality_matches_dense_gram(first, second):
         V[:, second] += 1e-6 * V[:, first]
     dense = np.abs(V.T @ V - np.eye(300)).max()
     assert dense > 1e-7  # the perturbation, not rounding, sets the deviation
-    assert abs(spectrum.orthonormality_deviation(V) - dense) <= 1e-15
+    # H = 0 with w = 0 and a zero sigma^+ with n = 0 leave the residuals at 0
+    zero = sparse.csr_array((300, 300))
+    residual, gram, casimir, values = spectrum._check_block(zero, sparse.csr_array((300, 1)), 0, np.zeros(300), V)
+    assert residual == casimir == 0.0 and not values.any()
+    assert abs(gram - dense) <= 1e-15
 
 
 def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
@@ -115,9 +119,11 @@ def test_rescaled_eigenvector_fails_the_orthonormality_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", scale_one_column)
     _, sm = _sector(1.0, 10, 4, 3)
-    with pytest.raises(spectrum.SpectrumError, match="not orthonormal"):
-        spectrum.diagonalize(sm)
+    measured = []
+    with pytest.raises(spectrum.SpectrumError, match="not orthonormal at 2S=2"):
+        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
     assert scaled
+    assert measured == []  # the failing block, the first, is never measured
 
 
 def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
@@ -136,9 +142,11 @@ def test_swapped_eigenvector_columns_fail_the_residual_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", swap_two_columns)
     _, sm = _sector(1.0, 10, 4, 3)
-    with pytest.raises(spectrum.SpectrumError, match="residual"):
-        spectrum.diagonalize(sm)
+    measured = []
+    with pytest.raises(spectrum.SpectrumError, match="residual .* at 2S=2"):
+        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
     assert gaps and gaps[0] > 1e-3
+    assert measured == []  # the failing block, the first, is never measured
 
 
 def test_returned_columns_are_eigenpairs_of_the_dense_matrix():
@@ -213,7 +221,7 @@ def test_lower_triangle_formation_matches_the_full_product():
             full[:, p:p + spectrum.PANEL] = Q.T @ (H @ Q[:, p:p + spectrum.PANEL])
         w_full, X_full = np.linalg.eigh(full)
         V_full = Q @ X_full
-        w, V, _ = spectrum._solve_block(H, 12, 6, two_s)
+        w, V = spectrum._solve_block(H, 12, 6, two_s)
         assert np.abs(w - w_full).max() <= 1e-13 * scale
         overlap = np.abs(np.sum(V * V_full, axis=0))  # |<v, v_full>| per eigenpair, up to sign
         simple = np.diff(w_full, prepend=-np.inf, append=np.inf)
@@ -221,52 +229,81 @@ def test_lower_triangle_formation_matches_the_full_product():
         assert np.abs(overlap[simple] - 1.0).max() <= 1e-9
 
 
-def _rewrite_first_column(monkeypatch, into: int, rewrite) -> list:
-    """Make _solve_block replace the first returned column v of block 2S = ``into`` by ``rewrite(v)``.
+def _rewrite_first_column(monkeypatch, sm, into: int, rewrite) -> list:
+    """Make _solve_block replace the first column of block 2S = ``into`` by ``rewrite(w, V)``.
 
-    The change comes after the block's eigenpair residuals are taken, as a
-    faulty write-back would, so only the checks that follow can see it.
-    Returns the list that receives the block's Gram deviation after the change.
+    The change comes before the block's checks, as a faulty write-back
+    would, so all of them read it.  Returns the list that receives the
+    block's largest eigenpair residual, relative to ||H||_F, and its Gram
+    deviation after the change, both taken densely.
     """
     solve = spectrum._solve_block
-    gram = []
+    H = sm.matrix.toarray()
+    seen = []
 
-    def rewritten(H, sites, magnons, two_s):
-        w, V, residual = solve(H, sites, magnons, two_s)
+    def rewritten(matrix, sites, magnons, two_s):
+        w, V = solve(matrix, sites, magnons, two_s)
         if two_s == into:
-            V[:, 0] = rewrite(V[:, 0])
-            gram.append(spectrum.orthonormality_deviation(V))
-        return w, V, residual
+            V[:, 0] = rewrite(w, V)
+            residual = np.linalg.norm(H @ V - V * w, axis=0).max() / max(1.0, np.linalg.norm(H))
+            seen.append((residual, np.abs(V.T @ V - np.eye(w.size)).max()))
+        return w, V
 
     monkeypatch.setattr(spectrum, "_solve_block", rewritten)
-    return gram
+    return seen
+
+
+def _mix_in_another_block(monkeypatch, sm, into: int, other: int) -> None:
+    """Mix 1e-10 of an eigenvector of block ``other`` into one of block ``into``; only the Casimir check may see it.
+
+    u is the eigenvector of ``other`` whose eigenvalue mu is nearest the
+    eigenvalue lambda of v, the first column of ``into``:
+    H (v + eps u) - lambda (v + eps u) = eps (mu - lambda) u stays below
+    the residual tolerance and the block's own Gram moves by eps^2, but
+    sigma^+ sigma^- - n_S leaves eps (n_other - n_S) u, above ``CASIMIR_TOL``.
+    """
+    b, eps = sm.basis, 1e-10
+    gap = basis.ladder_integer(b.sites, b.magnons, other) - basis.ladder_integer(b.sites, b.magnons, into)
+    assert eps * abs(gap) > spectrum.CASIMIR_TOL
+
+    def mix(w, V):  # the patched _solve_block hands block ``other`` back unchanged
+        w_other, V_other = spectrum._solve_block(sm.matrix, b.sites, b.magnons, other)
+        return V[:, 0] + eps * V_other[:, np.argmin(np.abs(w_other - w[0]))]
+
+    seen = _rewrite_first_column(monkeypatch, sm, into, mix)
+    measured = []
+    with pytest.raises(spectrum.SpectrumError, match=f"Casimir residual .* at 2S={into}"):
+        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
+    (residual, gram), = seen
+    assert residual <= spectrum.RESIDUAL_RTOL and gram <= 1e-10  # the other checks pass
+    # the blocks before the failing one are measured, the failing block never
+    assert measured == [s2 for s2 in basis.block_spins(b.sites, b.magnons) if s2 < into]
 
 
 def test_overlap_with_another_spin_block_fails_the_casimir_check(monkeypatch):
-    # 1e-9 of a column of block 2S=2 added to a column of block 2S=4: the block's
-    # own Gram moves by 1e-18 only, but the column now overlaps block 2 by 1e-9,
-    # which a whole-sector Gram would catch and the Casimir residual does
+    # L=10, m=4: block 2S=2 (n_S = 0) mixed into block 2S=4 (n_S = 4), Casimir residual 4e-10
     _, sm = _sector(1.0, 10, 4, 3)
-    foreign = basis.spin_block(10, 4, 2)[:, 0]
-    own = basis.spin_block(10, 4, 4)[:, 0]
-    assert spectrum.orthonormality_deviation(np.column_stack([own + 1e-9 * foreign, foreign])) > 1e-10
-    gram = _rewrite_first_column(monkeypatch, 4, lambda v: v + 1e-9 * foreign)
-    measured = []
-    with pytest.raises(spectrum.SpectrumError, match="Casimir residual .* at 2S=4"):
-        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
-    assert gram and gram[0] <= 1e-10
-    assert measured == [2]  # the failing block is never measured
+    _mix_in_another_block(monkeypatch, sm, 4, 2)
 
 
 def test_vector_mixing_two_spins_fails_the_casimir_check(monkeypatch):
-    # (a + b) / sqrt(2), a of block 2S=3 and b of block 2S=5 (L=7, m=2): a unit vector
-    # orthogonal to the rest of block 3, so only the Casimir residual sees the mix
+    # L=7, m=2: block 2S=5 (n_S = 5) mixed into block 2S=3 (n_S = 0), Casimir residual 5e-10
     _, sm = _sector(0.0, 7, 2, 4)
-    other = basis.spin_block(7, 2, 5)[:, 0]
-    gram = _rewrite_first_column(monkeypatch, 3, lambda v: (v + other) / np.sqrt(2))
-    with pytest.raises(spectrum.SpectrumError, match="Casimir residual .* at 2S=3"):
-        spectrum.diagonalize(sm)
-    assert gram and gram[0] <= 1e-10
+    _mix_in_another_block(monkeypatch, sm, 3, 5)
+
+
+def test_fault_seen_by_residual_and_gram_is_reported_as_a_residual(monkeypatch):
+    # 1e-6 of the block's last eigenvector added to its first: the first column is
+    # no eigenvector (residual 1e-6 |w[-1] - w[0]|) and overlaps the last by 1e-6,
+    # so the residual and the Gram checks both see it; the residual is reported
+    _, sm = _sector(1.0, 10, 4, 3)
+    seen = _rewrite_first_column(monkeypatch, sm, 4, lambda w, V: V[:, 0] + 1e-6 * V[:, -1])
+    measured = []
+    with pytest.raises(spectrum.SpectrumError, match="eigenpair residual .* at 2S=4"):
+        spectrum.diagonalize(sm, measure=lambda two_s, vectors: measured.append(two_s))
+    (residual, gram), = seen
+    assert residual > spectrum.RESIDUAL_RTOL and gram > 1e-10
+    assert measured == [2]  # the failing block is never measured
 
 
 def test_nonfinite_input_raises():
