@@ -14,7 +14,7 @@ from .blas import pin_threads
 
 BLAS_THREADS = pin_threads()  # None where numpy's BLAS exports no OpenBLAS setter
 
-from .basis import SectorBasis, build_basis, rank, unrank
+from .basis import SectorBasis, build_basis
 from .couplings import CouplingMatrix, sample_couplings
 from .entanglement import pair_concurrences
 from .ladder import Classification, classify, promote, promotion_map
@@ -26,8 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SectorBasis",
     "build_basis",
-    "rank",
-    "unrank",
     "CouplingMatrix",
     "sample_couplings",
     "pair_concurrences",

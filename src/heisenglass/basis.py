@@ -3,9 +3,10 @@
 A basis pattern of L spins is the set of its up sites.  The sector with
 m up spins lists all C(L, m) such patterns in colex order, which is
 ascending order when pattern p is read as the integer sum_{i in p} 2^i;
-it coincides with the combinatorial number system, so ranking and
-unranking are O(L) and need no search.  A sector is stored once, as the
-read-only (dim, L) boolean matrix of which sites are up in each pattern.
+it coincides with the combinatorial number system, so a pattern's rank
+is a sum of binomials and needs no search.  :func:`cleared_ranks` is the
+one place that sum is formed.  A sector is stored once, as the read-only
+(dim, L) boolean matrix of which sites are up in each pattern.
 :func:`spin_block` builds the orthonormal block of one total spin
 alone, and :func:`promotion_map` the sigma^+ between adjacent sectors.
 """
@@ -120,8 +121,9 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
     level is written straight into its sector's array, and two levels are
     alive at once, except the last: the two sectors of level L-1 are
     built into the row ranges of the result, each parent block already in
-    the column range it takes there, and then scaled in place by its
-    factor (:func:`spin_block_words` counts the peak).  Every column is
+    the column range it takes there, and site L-1 then couples by the
+    same step, which scales each parent block in place
+    (:func:`spin_block_words` counts the peak).  Every column is
     an exact eigenvector of the total spin, and the same column index
     labels the same multiplet in every sector of the same L.
     """
@@ -133,14 +135,12 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
         raise ValueError(f"no spin block 2S={two_s} in sector ({sites}, {magnons})")
     if sites == 1:
         return np.ones((1, 1))  # a lone spin 1/2
-    # sectors (l, k) that feed (sites, magnons), each its array and its blocks
-    # keyed by 2S (column ranges of the array); (0, 0) is a spin-0 singleton
-    one = np.ones((1, 1))
-    level = {0: (one, {0: one})}
+    # sectors (l, k) that feed (sites, magnons), each its blocks keyed by 2S (column
+    # ranges of one array); (0, 0) is a spin-0 singleton
+    level = {0: {0: np.ones((1, 1))}}
     for l in range(1, sites - 1):
         level = {
-            k: _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], l, k,
-                            _cone_spins(sites, two_s, l, k))
+            k: _couple_site(level.get(k, {}), level.get(k - 1, {}), l, k, _cone_spins(sites, two_s, l, k))
             for k in range(max(0, magnons - sites + l), min(l, magnons) + 1)
         }
     # level L-1: sector (L-1, m) (site L-1 down) fills the first rows, (L-1, m-1) the rest;
@@ -148,19 +148,15 @@ def spin_block(sites: int, magnons: int, two_s: int) -> np.ndarray:
     n_down = comb(sites - 1, magnons)
     low = multiplets(sites - 1, two_s - 1) if two_s else 0
     q = np.empty((comb(sites, magnons), multiplets(sites, two_s)))
-    cols = {two_s - 1: slice(0, low), two_s + 1: slice(low, q.shape[1])}
-    m2 = 2 * magnons - sites  # 2M
-    for side, (k, rows) in enumerate(((magnons, slice(0, n_down)), (magnons - 1, slice(n_down, None)))):
-        spins = _cone_spins(sites, two_s, sites - 1, k)
-        if not spins:  # k = -1 or k = L: no such sector, no rows
-            continue
-        # parent 2S+1 is present wherever its columns are; 2S-1 may be absent, and its columns zero
-        lo = cols[spins[0]].start
-        q[rows, :lo] = 0.0
-        _couple_site(level.get(k, (None, {}))[1], level.get(k - 1, (None, {}))[1], sites - 1, k, spins,
-                     q[rows, lo:])
-        for p2 in spins:
-            q[rows, cols[p2]] *= _factors(p2, two_s, m2)[side]
+    sides = []
+    for k, rows in ((magnons, slice(0, n_down)), (magnons - 1, slice(n_down, None))):
+        spins = _cone_spins(sites, two_s, sites - 1, k)  # empty at k = -1 or k = L: no such sector
+        # a side without parent 2S-1 fills 2S+1's columns alone; the last step zeroes the others
+        cols = slice(0 if two_s - 1 in spins else low, None)
+        sides.append(_couple_site(level.get(k, {}), level.get(k - 1, {}), sites - 1, k, spins, q[rows, cols])
+                     if spins else {})
+    # site L-1 couples by the same step, each parent block scaled where it lies
+    _couple_site(*sides, sites, magnons, range(two_s, two_s + 1), q)
     return q
 
 
@@ -201,11 +197,12 @@ def _cone_spins(sites: int, two_s: int, l: int, k: int) -> range:
 def _couple_site(
     down: dict[int, np.ndarray], up: dict[int, np.ndarray], l: int, k: int, spins: range,
     q: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+) -> dict[int, np.ndarray]:
     """The ``spins`` (2S) blocks of sector (l, k), from those of (l-1, k) (site l-1 down) and (l-1, k-1) (up).
 
-    The blocks fill the columns of ``q`` side by side, 2S ascending; a new
-    array when ``q`` is None.
+    The blocks are views that fill the columns of ``q`` side by side, 2S
+    ascending; ``q`` is a new array when None.  A parent block that
+    already lies where its part of the result goes is scaled in place.
     """
     n_down, n_up = comb(l - 1, k), comb(l - 1, k - 1) if k else 0
     m2 = 2 * k - l  # 2M
@@ -232,7 +229,7 @@ def _couple_site(
                 np.multiply(qu, c_up, out=q[n_down:, cols])
             col = cols.stop
         blocks[s2] = q[:, start:col]
-    return q, blocks
+    return blocks
 
 
 def _factors(p2: int, s2: int, m2: int) -> tuple[float, float]:
@@ -270,35 +267,16 @@ def promotion_map(target: SectorBasis) -> sparse.csr_array:
     return sparse.csr_array((np.ones(columns.size), columns, indptr), shape=shape)
 
 
-def rank(sites: int, magnons: int, pattern: int) -> int:
-    """Position of ``pattern`` within its sector, without search.
-
-    Combinatorial number system: with set bits at positions
-    p_1 < ... < p_m, the rank is sum_k C(p_k, k).
-    """
-    if pattern < 0 or pattern >> sites:
-        raise ValueError(f"pattern {pattern:#x} does not fit {sites} sites")
-    r = 0
-    k = 0
-    p = pattern
-    while p:
-        low = p & -p
-        k += 1
-        r += comb(low.bit_length() - 1, k)
-        p ^= low
-    if k != magnons:
-        raise ValueError(f"pattern has {k} bits set, sector expects {magnons}")
-    return r
-
-
 def cleared_ranks(b: SectorBasis) -> np.ndarray:
     """Ranks in sector m-1 of every pattern of ``b`` with one up spin cleared.
 
     Row t, column c holds the rank of the t-th pattern with its c-th
-    lowest set bit cleared.  With set sites p_0 < ... < p_{m-1} the rank
-    is sum_c C(p_c, c+1) (see :func:`rank`); clearing p_c drops its term,
-    keeps the terms below it and lowers the count of every term above it
-    by one: sum_{c'<c} C(p_c', c'+1) + sum_{c'>c} C(p_c', c').
+    lowest set bit cleared.  This is the package's rank formula: in colex
+    order a pattern with set sites p_0 < ... < p_{m-1} has rank
+    sum_c C(p_c, c+1), the combinatorial number system.  Clearing p_c
+    drops its term, keeps the terms below it and lowers the count of
+    every term above it by one: sum_{c'<c} C(p_c', c'+1) +
+    sum_{c'>c} C(p_c', c').
     """
     L, m = b.sites, b.magnons
     set_sites = np.nonzero(b.occupancy)[1].reshape(b.dim, m)
@@ -312,20 +290,3 @@ def cleared_ranks(b: SectorBasis) -> np.ndarray:
     below = np.cumsum(up, axis=1) - up
     above = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
     return below + above
-
-
-def unrank(sites: int, magnons: int, r: int) -> int:
-    """Inverse of :func:`rank`: the r-th pattern of the sector."""
-    if not 0 <= r < comb(sites, magnons):
-        raise ValueError(f"rank {r} outside sector of dimension {comb(sites, magnons)}")
-    pattern = 0
-    top = sites
-    for k in range(magnons, 0, -1):
-        # largest position p with C(p, k) <= r
-        p = k - 1
-        while p + 1 < top and comb(p + 1, k) <= r:
-            p += 1
-        pattern |= 1 << p
-        r -= comb(p, k)
-        top = p
-    return pattern

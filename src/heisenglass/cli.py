@@ -130,7 +130,8 @@ def _classified_sample(
     (:func:`spectrum.diagonalize`).  Raises InvariantError unless the
     uniform state is an eigenstate at S_J to within the eigenpair
     tolerance and the promoted count is the one
-    :func:`ladder.expected_counts` gives.
+    :func:`ladder.expected_counts` gives.  A SpectrumError from the
+    solve or the classification is raised again with the sample named.
     """
     sites, magnons = upper.sites, upper.magnons
     cm = couplings.sample_couplings(sites, sigma, couplings.sample_seed(master_seed, index))
@@ -139,8 +140,11 @@ def _classified_sample(
     if not residual <= spectrum.RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(sm.matrix.data))):
         raise InvariantError(f"sample {index} (L={sites}, m={magnons}): uniform state residual {residual:.3e} at S_J")
     raising = ladder.promotion_map(upper)
-    spec = spectrum.diagonalize(sm, raising, measure)
-    cls = ladder.classify(spec, raising)
+    try:
+        spec = spectrum.diagonalize(sm, raising, measure)
+        cls = ladder.classify(spec, raising)
+    except spectrum.SpectrumError as err:
+        raise type(err)(f"sample {index} (L={sites}, m={magnons}): {err}") from err
     expected, _ = ladder.expected_counts(sites, magnons)
     if cls.n_promoted != expected:
         raise InvariantError(
@@ -521,6 +525,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("--sigmas entries must be distinct")
     if cfg.command == "scaling":
         if cfg.target == "eigenstates":
+            if cfg.samples < 2:
+                raise ConfigError("eigenstate scaling needs --samples >= 2 for the standard errors")
             for sites in cfg.sites:
                 _check_sector(sites, cfg.magnons, _pool_size(cfg.workers, cfg.samples), cfg.samples, 0)
         else:
@@ -657,7 +663,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         InvariantError,
         spectrum.SpectrumError,
-        fitting.FitError,
         ensembles.StreamError,
     ) as err:
         print(f"failure: {err}", file=sys.stderr)

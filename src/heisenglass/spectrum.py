@@ -42,7 +42,9 @@ def solve_bytes(sites: int, magnons: int) -> int:
       with H and the d x p panel of A it gives, d^2 + p (2 dim + d);
     * eigh, with Q_S released: A, its copy, a 2 d^2 workspace and X;
     * V_S = Q_S X_S, written into the rebuilt Q_S p rows at a time next
-      to X, one p-row panel and its product;
+      to X, one p-row panel and its product, d^2 + 2 p d: since d <= dim
+      the A phase always holds at least as much, so this phase adds no
+      term;
     * V_S next to the one check pass of :func:`_check_block`: one
       contiguous copy of a p-column panel, held while it feeds first the
       residual H panel - panel w (two more dim x p) and, next to it, a
@@ -64,7 +66,7 @@ def solve_bytes(sites: int, magnons: int) -> int:
     for two_s in basis.block_spins(sites, magnons):
         d = basis.multiplets(sites, two_s)
         widest = max(widest, d)
-        held = max(d * d + p * (2 * dim + d), d * d + 2 * p * d, p * (lower + 3 * dim))
+        held = max(d * d + p * (2 * dim + d), p * (lower + 3 * dim))
         words = max(d * d + d + basis.spin_block_words(sites, magnons, two_s), 5 * d * d, dim * d + held)
         worst = max(
             worst,

@@ -96,10 +96,11 @@ def jacobi_eigenvalues(A: np.ndarray, sweeps: int = 60) -> np.ndarray:
 
 def _check_basis() -> CheckResult:
     b = basis.build_basis(10, 3)
-    ok = all(basis.rank(10, 3, s) == k for k, s in enumerate(b.states))
-    ok = ok and all(basis.unrank(10, 3, k) == s for k, s in enumerate(b.states))
-    ok = ok and all(bin(s).count("1") == 3 for s in b.states)
-    return ("basis-rank-roundtrip", ok, f"{b.dim} states, L=10 m=3")
+    parents = {s: k for k, s in enumerate(basis.build_basis(10, 2).states)}
+    ok = all(a < c for a, c in zip(b.states, b.states[1:]))
+    expected = [[parents.get(s & ~(1 << i)) for i in range(10) if s >> i & 1] for s in b.states]
+    ok = ok and basis.cleared_ranks(b).tolist() == expected
+    return ("basis-cleared-ranks", ok, f"{b.dim} states, L=10 m=3")
 
 
 def _check_sector_oracle() -> CheckResult:

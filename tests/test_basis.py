@@ -40,40 +40,6 @@ def test_invariants(sites, magnons):
     assert all(a < c for a, c in zip(b.states, b.states[1:]))
 
 
-def test_rank_endpoints():
-    assert basis.rank(4, 2, 0b0011) == 0
-    assert basis.rank(4, 2, 0b1100) == 5
-
-
-def test_rank_unrank_roundtrip_exhaustive():
-    for sites in range(1, 17):
-        for magnons in range(sites + 1):
-            dim = comb(sites, magnons)
-            patterns = [basis.unrank(sites, magnons, k) for k in range(dim)]
-            assert patterns == sorted(patterns)
-            assert [basis.rank(sites, magnons, p) for p in patterns] == list(range(dim))
-
-
-@given(st.integers(2, 300), st.data())
-def test_rank_unrank_roundtrip_random(sites, data):
-    magnons = data.draw(st.integers(0, min(sites, 6)))
-    up = data.draw(st.sets(st.integers(0, sites - 1), min_size=magnons, max_size=magnons))
-    pattern = sum(1 << s for s in up)
-    assert basis.unrank(sites, magnons, basis.rank(sites, magnons, pattern)) == pattern
-
-
-def test_rank_rejects_wrong_popcount():
-    with pytest.raises(ValueError):
-        basis.rank(4, 2, 0b0111)
-    with pytest.raises(ValueError):
-        basis.rank(4, 2, 0b10011)  # five bits wide
-
-
-def test_unrank_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        basis.unrank(4, 2, 6)
-
-
 def test_build_rejects_bad_args():
     with pytest.raises(ValueError):
         basis.build_basis(0, 0)

@@ -167,6 +167,7 @@ def test_scaling_eigenstates_fit_raises_no_warning(tmp_path):
         ["phase-diagram", "-L", "60", "-m", "5", "--sigmas", "0"],   # memory budget
         ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "-m", "0"],  # empty sector
         ["scaling", "--target", "eigenstates", "-L", "8,9,10,60", "-m", "5"],  # memory budget
+        ["scaling", "--target", "eigenstates", "-L", "8,9,10,11", "--samples", "1"],  # no standard error
         ["phase-diagram", "-L", "10", "--sigmas", "0,nan"],
         # options the run never reads, which the header would echo as used
         ["spectrum-report", "-L", "6", "--pairs", "single"],
@@ -537,6 +538,13 @@ def test_verify_negative_control(monkeypatch):
         failed = [name for name, ok, _ in verify.run_checks() if not ok]
     assert "concurrence-wootters" in failed
 
+    # broken on purpose: each pattern's cleared ranks listed highest cleared site first
+    cleared_ranks = basis.cleared_ranks
+    with monkeypatch.context() as patch:
+        patch.setattr(basis, "cleared_ranks", lambda b: cleared_ranks(b)[:, ::-1])
+        failed = [name for name, ok, _ in verify.run_checks() if not ok]
+    assert "basis-cleared-ranks" in failed
+
 
 def test_parse_helpers():
     assert cli._parse_sigma("inf") == math.inf
@@ -665,6 +673,25 @@ def test_shifted_uniform_eigenvalue_exits_one(tmp_path, capsys, monkeypatch):
     assert "failure: sample 0" in err
     assert "uniform state residual" in err
     assert not (tmp_path / "spectrum_report.csv").exists()
+
+
+def test_spectrum_failure_names_its_sample(tmp_path, capsys, monkeypatch):
+    # every block's eigenpair residual read as 1: the solve fails at its first block
+    check_block = spectrum._check_block
+
+    def faulty(H, raising, n, w, V):
+        _, gram, casimir, values = check_block(H, raising, n, w, V)
+        return 1.0, gram, casimir, values
+
+    monkeypatch.setattr(spectrum, "_check_block", faulty)
+    rc = cli.main(["spectrum-report", "-L", "8", "-m", "2", "--samples", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "failure: sample 0 (L=8, m=2): eigenpair residual 1.000e+00 exceeds 1.0e-10 * ||H||_F at 2S=4\n"
+    )
+    assert not (tmp_path / "spectrum_report.csv").exists()
+    with pytest.raises(spectrum.SpectrumError, match=r"^sample 2 \(L=8, m=2\): eigenpair residual"):
+        cli._classified_sample(basis.build_basis(8, 2), 0.0, 0, 2, lambda two_s, vectors: None)
 
 
 def test_every_state_promoted_above_half_filling(tmp_path):

@@ -3,6 +3,7 @@ from math import comb, inf, sqrt
 
 import blocks
 import numpy as np
+import oracles
 import pytest
 
 from heisenglass import basis, couplings, entanglement, ladder, sector, spectrum
@@ -82,11 +83,12 @@ def test_promotion_matrix_against_brute_force():
         target, raising = _raising(sites, m)
         P = raising.toarray()
         expected = np.zeros((comb(sites, m), comb(sites, m - 1)))
+        parents = {s: k for k, s in enumerate(oracles.enumerate_patterns(sites, m - 1)[0])}
         order = []  # parents of each target row, lowest cleared site first
         for t, pattern in enumerate(target.states):
             for b in range(sites):
                 if (pattern >> b) & 1:
-                    parent = basis.rank(sites, m - 1, pattern & ~(1 << b))
+                    parent = parents[pattern & ~(1 << b)]
                     expected[t, parent] += 1.0
                     order.append(parent)
         assert np.array_equal(P, expected), (sites, m)
